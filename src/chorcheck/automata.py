@@ -170,9 +170,30 @@ def eps_eliminate(a: Nfa) -> Nfa:
                frozenset(accepting), a.names)
 
 
+def _successor_map(a: Nfa) -> dict | None:
+    """(state, letter) -> successor, or None when some pair has two successors."""
+    delta = {}
+    for s, x, t in a.transitions:
+        if (s, x) in delta:
+            return None
+        delta[(s, x)] = t
+    return delta
+
+
 def determinise(a: Nfa) -> Dfa:
-    """Reachable-subset construction; never materialises the full powerset."""
+    """Reachable-subset construction; never materialises the full powerset.
+
+    Deterministic input takes a BFS over single states instead, which gives
+    the same numbering, transitions, accepting set and names.
+    """
     a = eps_eliminate(a)
+    delta = _successor_map(a) if len(a.initial) == 1 else None
+    if delta is not None:
+        return _determinise_deterministic(a, delta)
+    return _subset_construction(a)
+
+
+def _subset_construction(a: Nfa) -> Dfa:
     start = a.eps_closure(a.initial)
     index = {start: 0}
     order = [start]
@@ -192,6 +213,28 @@ def determinise(a: Nfa) -> Dfa:
     accepting = frozenset(i for subset, i in index.items() if subset & a.accepting)
     names = tuple("{" + ",".join(sorted(a.state_name(s) for s in subset)) + "}"
                   for subset in order)
+    return Dfa(a.alphabet, len(order), 0, frozenset(transitions), accepting, names)
+
+
+def _determinise_deterministic(a: Nfa, delta: dict) -> Dfa:
+    (start,) = a.initial
+    index = {start: 0}
+    order = [start]
+    transitions = []
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for x in a.alphabet:
+            t = delta.get((s, x))
+            if t is None:
+                continue
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+                queue.append(t)
+            transitions.append((index[s], x, index[t]))
+    accepting = frozenset(i for s, i in index.items() if s in a.accepting)
+    names = tuple("{" + a.state_name(s) + "}" for s in order)
     return Dfa(a.alphabet, len(order), 0, frozenset(transitions), accepting, names)
 
 
@@ -297,22 +340,26 @@ def includes(a: Nfa, b: Nfa) -> tuple[bool, tuple | None]:
     return empty, witness
 
 
-def trim(a: Nfa) -> Nfa:
-    """Restrict to accessible and co-accessible states."""
-    a = eps_eliminate(a)
-    fwd = set(a.initial)
-    queue = deque(fwd)
+def reachable(a: Nfa) -> set[int]:
+    """States reachable from the initial set along any transitions."""
     succs: dict[int, set[int]] = {}
     for s, _, t in a.transitions:
         succs.setdefault(s, set()).add(t)
+    reach = set(a.initial)
+    queue = deque(reach)
     while queue:
         s = queue.popleft()
         for t in succs.get(s, ()):
-            if t not in fwd:
-                fwd.add(t)
+            if t not in reach:
+                reach.add(t)
                 queue.append(t)
-    back = set(_distances_to_accepting(a))
-    keep = sorted(fwd & back)
+    return reach
+
+
+def trim(a: Nfa) -> Nfa:
+    """Restrict to accessible and co-accessible states."""
+    a = eps_eliminate(a)
+    keep = sorted(reachable(a) & set(_distances_to_accepting(a)))
     if not keep:
         return Nfa(a.alphabet, 1, frozenset({0}), frozenset(), frozenset(),
                    ("dead",))
@@ -386,6 +433,42 @@ def minimise(d: Dfa) -> Dfa:
                             for s in states for x in d.alphabet)
     accepting = frozenset(renum[block[s]] for s in states if s in d.accepting)
     return Dfa(d.alphabet, len(renum), 0, transitions, accepting)
+
+
+def _bfs_word(alphabet, start, step, goal) -> tuple | None:
+    """Shortest, then lexicographically least, word from `start` to a node
+    satisfying `goal`; `step(node, letter)` returns a node or None."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if goal(node):
+            word = []
+            while parent[node] is not None:
+                node, x = parent[node]
+                word.append(x)
+            return tuple(reversed(word))
+        for x in alphabet:
+            nxt = step(node, x)
+            if nxt is not None and nxt not in parent:
+                parent[nxt] = (node, x)
+                queue.append(nxt)
+    return None
+
+
+def access_word(d: Dfa, s: int) -> tuple | None:
+    """Shortest, then lexicographically least, word leading to state `s`."""
+    return _bfs_word(d.alphabet, d.initial, lambda t, x: d.delta.get((t, x)),
+                     lambda t: t == s)
+
+
+def distinguishing_word(d: Dfa, p: int, q: int) -> tuple | None:
+    """Shortest, then lexicographically least, v such that exactly one of
+    δ(p,v) and δ(q,v) is accepting; None when p and q are equivalent.
+    `d` must be complete."""
+    return _bfs_word(d.alphabet, (p, q),
+                     lambda pq, x: (d.delta[(pq[0], x)], d.delta[(pq[1], x)]),
+                     lambda pq: (pq[0] in d.accepting) != (pq[1] in d.accepting))
 
 
 def words(a: Nfa, max_len: int):

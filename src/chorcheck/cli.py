@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = property holds / success, 1 = property fails (witnesses
-printed), 2 = usage or parse error, 3 = `unknown` verdict.
+printed), 2 = usage, parse or output error, 3 = `unknown` verdict (also
+when a bounded check would exceed its size limit).
 """
 
 from __future__ import annotations
@@ -110,7 +111,10 @@ def cmd_complement(args) -> int:
         return EXIT_FAILS
     text = render_gt(result_gt)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}") from None
     payload = {
         "command": "complement",
         "method": method,
@@ -132,6 +136,8 @@ def cmd_verify_complement(args) -> int:
     gbar = _load_gt(args.gbar)
     try:
         report = verify_complement(g, gbar, args.max_events)
+    except SizeLimitError as exc:
+        raise CliError(str(exc), EXIT_UNKNOWN) from None
     except (DeclarationError, ValueError) as exc:
         raise CliError(str(exc)) from None
     payload = {
@@ -170,9 +176,12 @@ def cmd_project(args) -> int:
     system = project(g)
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for cfsm in system.cfsms:
-            (outdir / f"{cfsm.process}.cfsm").write_text(render_cfsm(cfsm, system))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for cfsm in system.cfsms:
+                (outdir / f"{cfsm.process}.cfsm").write_text(render_cfsm(cfsm, system))
+        except OSError as exc:
+            raise CliError(f"cannot write {outdir}: {exc}") from None
         print(f"wrote {len(system.cfsms)} CFSM files to {outdir}")
     else:
         for cfsm in system.cfsms:
@@ -360,6 +369,16 @@ def cmd_oracle_count_profile(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chorcheck",
@@ -386,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="bounded complement-law check")
     p.add_argument("gt")
     p.add_argument("gbar", help="complement candidate (use - for stdin)")
-    p.add_argument("--max-events", type=int, default=6)
+    p.add_argument("--max-events", type=_positive_int, default=6)
 
     p = add("member", cmd_member, help="MSC-language membership")
     p.add_argument("gt")
@@ -401,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt")
     p.add_argument("--model", choices=("synch", "p2p"), required=True)
     p.add_argument("--complement", required=True, help="verified complement .gt")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--max-events", type=int, default=8)
+    p.add_argument("--bound", type=_positive_int, default=2)
+    p.add_argument("--max-events", type=_positive_int, default=8)
 
     p = add("simulate", cmd_simulate, help="bounded p2p reachability report")
     p.add_argument("gt")
     p.add_argument("--model", choices=("p2p",), default="p2p")
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--max-events", type=int, default=8)
+    p.add_argument("--bound", type=_positive_int, default=2)
+    p.add_argument("--max-events", type=_positive_int, default=8)
 
     p = add("dot", cmd_dot, help="DOT rendering on stdout")
     p.add_argument("file", help=".gt or .cfsm file (use - for stdin)")
@@ -421,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("gt")
     p.add_argument("gbar")
-    p.add_argument("--max-events", type=int, default=6)
+    p.add_argument("--max-events", type=_positive_int, default=6)
 
     p = osub.add_parser("enumerate", help="enumerate the canonical-MSC universe")
     p.set_defaults(func=cmd_oracle_enumerate)
     p.add_argument("--json", action="store_true")
     p.add_argument("gt", help="any .gt file; only its declaration is used")
-    p.add_argument("--max-events", type=int, default=4)
+    p.add_argument("--max-events", type=_positive_int, default=4)
 
     p = osub.add_parser("count-profile", help="count-profile predicate check")
     p.set_defaults(func=cmd_oracle_count_profile)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Nfa
+from .automata import Nfa, reachable
 from .gtype import (ClassificationError, GlobalType, choices, determinise_gt,
                     dual_gt, is_commutation_closed, is_commutation_deterministic,
                     is_deterministic, participant_count, project, sync_product)
@@ -141,20 +141,7 @@ def renunciation_unpruned_state_count(g: GlobalType) -> int:
 
 def _prune(nfa: Nfa) -> Nfa:
     """Keep only states reachable from the initial set."""
-    from collections import deque
-
-    succs: dict[int, set[int]] = {}
-    for s, _, t in nfa.transitions:
-        succs.setdefault(s, set()).add(t)
-    keep = set(nfa.initial)
-    queue = deque(keep)
-    while queue:
-        s = queue.popleft()
-        for t in succs.get(s, ()):
-            if t not in keep:
-                keep.add(t)
-                queue.append(t)
-    order = sorted(keep)
+    order = sorted(reachable(nfa))
     renum = {s: i for i, s in enumerate(order)}
     return Nfa(nfa.alphabet, len(order),
                frozenset(renum[s] for s in nfa.initial),
@@ -176,7 +163,8 @@ def complement_auto(g: GlobalType, self_check_bound: int = 5) -> ComplementResul
     self-checked Cartesian abstraction."""
     if is_deterministic(g) and (participant_count(g) <= 3
                                 or is_commutation_closed(g)[0]):
-        return ComplementResult(complement_dual(g), "dual", True)
+        # complement_dual's preconditions hold; calling it would decide closure again
+        return ComplementResult(dual_gt(g), "dual", True)
     candidate = g if is_deterministic(g) else determinise_gt(g)
     if is_commutation_deterministic(candidate):
         return ComplementResult(complement_renunciation(candidate), "renunciation", True)

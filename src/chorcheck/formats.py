@@ -18,7 +18,6 @@ CFSM files are analogous, with actions `p!q:m` / `p?q:m`:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .automata import Nfa, determinise
 from .gtype import GlobalType
@@ -35,102 +34,102 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+# A token is a plain (kind, value, offset) tuple, which is much cheaper to
+# build than an object; the line and column of the offset are derived only
+# when an error is reported.
+Token = tuple[str, str, int]
 
 
-_TOKEN_RE = re.compile("|".join((
-    r"(?P<comment>#[^\n]*)",
-    r"(?P<ws>\s+)",
+# Each match skips whitespace and comments, then reads one token; at the end
+# of the text it reads `eof`, and on any other character `bad`.
+_TOKEN_RE = re.compile(r"(?:\s+|#[^\n]*)*(?:" + "|".join((
     r"(?P<edge_to>-->)",
     r"(?P<arrow>->)",
     r"(?P<edge_from>--)",
     rf"(?P<ident>{IDENT})",
     r"(?P<punct>[{}:;,*+!?])",
-)))
+    r"(?P<eof>\Z)",
+    r"(?P<bad>.)",
+)) + ")")
+
+
+def _location(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of `offset`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        value = m.group()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        offset = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[offset]!r}",
+                             *_location(text, offset))
+        tokens.append((kind, m[kind], offset))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """Value of the next token."""
+        return self.tokens[self.pos][1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *_location(self.text, tok[2]))
+
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise self.error(message, self.tokens[self.pos])
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.next()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            raise ParseError(f"expected {value or kind}, found {tok.value!r}",
-                             tok.line, tok.column)
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            raise self.error(f"expected {value or kind}, found {tok[1]!r}", tok)
         return tok
+
+    def ident(self) -> str:
+        return self.expect("ident")[1]
 
     def expect_keyword(self, word: str):
         tok = self.expect("ident")
-        if tok.value != word:
-            raise ParseError(f"expected {word!r}, found {tok.value!r}",
-                             tok.line, tok.column)
+        if tok[1] != word:
+            raise self.error(f"expected {word!r}, found {tok[1]!r}", tok)
 
     def ident_list(self) -> list[str]:
-        names = [self.expect("ident").value]
-        while self.peek().value == ",":
+        names = [self.ident()]
+        while self.peek() == ",":
             self.next()
-            names.append(self.expect("ident").value)
+            names.append(self.ident())
         return names
 
     def parse_arrow_token(self) -> tuple[str, str, str, Token]:
         start = self.expect("ident")
         self.expect("arrow")
-        receiver = self.expect("ident").value
+        receiver = self.ident()
         self.expect("punct", ":")
-        message = self.expect("ident").value
-        return start.value, receiver, message, start
+        message = self.ident()
+        return start[1], receiver, message, start
 
     def parse_action_token(self) -> tuple[str, str, str, bool, Token]:
         start = self.expect("ident")
         mark = self.next()
-        if mark.value not in ("!", "?"):
-            raise ParseError("expected ! or ? in action", mark.line, mark.column)
-        peer = self.expect("ident").value
+        if mark[1] not in ("!", "?"):
+            raise self.error("expected ! or ? in action", mark)
+        peer = self.ident()
         self.expect("punct", ":")
-        message = self.expect("ident").value
-        return start.value, peer, message, mark.value == "!", start
+        message = self.ident()
+        return start[1], peer, message, mark[1] == "!", start
 
 
 def _parse_states(p: _Parser):
@@ -139,14 +138,14 @@ def _parse_states(p: _Parser):
     while True:
         name = p.expect("ident")
         initial = accepting = False
-        while p.peek().value in ("*", "+"):
-            flag = p.next().value
+        while p.peek() in ("*", "+"):
+            flag = p.next()[1]
             if flag == "*":
                 initial = True
             else:
                 accepting = True
         entries.append((name, initial, accepting))
-        if p.peek().value != ",":
+        if p.peek() != ",":
             break
         p.next()
     p.expect("punct", ";")
@@ -156,8 +155,8 @@ def _parse_states(p: _Parser):
 def _parse_declaration_sections(p: _Parser):
     processes = messages = None
     explicit_arrows = None
-    while p.peek().kind == "ident" and p.peek().value in ("processes", "messages", "arrows"):
-        section = p.next().value
+    while p.peek() in ("processes", "messages", "arrows"):
+        section = p.next()[1]
         p.expect("punct", ":")
         if section == "processes":
             processes = p.ident_list()
@@ -168,7 +167,7 @@ def _parse_declaration_sections(p: _Parser):
             while True:
                 s, r, m, tok = p.parse_arrow_token()
                 explicit_arrows.append((s, r, m, tok))
-                if p.peek().value != ",":
+                if p.peek() != ",":
                     break
                 p.next()
         p.expect("punct", ";")
@@ -179,34 +178,35 @@ def _parse_declaration_sections(p: _Parser):
     return processes, messages, explicit_arrows
 
 
-def _build_arrow(sender, receiver, message, tok, processes, messages) -> Arrow:
+def _build_arrow(p: _Parser, sender, receiver, message, tok, processes,
+                 messages) -> Arrow:
     if sender not in processes:
-        raise ParseError(f"undeclared process {sender!r}", tok.line, tok.column)
+        raise p.error(f"undeclared process {sender!r}", tok)
     if receiver not in processes:
-        raise ParseError(f"undeclared process {receiver!r}", tok.line, tok.column)
+        raise p.error(f"undeclared process {receiver!r}", tok)
     if message not in messages:
-        raise ParseError(f"undeclared message {message!r}", tok.line, tok.column)
+        raise p.error(f"undeclared message {message!r}", tok)
     try:
         return Arrow(sender, receiver, message)
     except DeclarationError as exc:
-        raise ParseError(str(exc), tok.line, tok.column) from None
+        raise p.error(str(exc), tok) from None
 
 
 def parse_gt(text: str) -> GlobalType:
     p = _Parser(text)
     p.expect_keyword("gtype")
-    name = p.expect("ident").value
+    name = p.ident()
     p.expect("punct", "{")
     processes, messages, explicit_arrows = _parse_declaration_sections(p)
 
     state_entries = []
-    if p.peek().kind == "ident" and p.peek().value == "states":
+    if p.peek() == "states":
         p.next()
         p.expect("punct", ":")
         state_entries = _parse_states(p)
 
     transitions_raw = []
-    while p.peek().value != "}":
+    while p.peek() != "}":
         src = p.expect("ident")
         p.expect("edge_from")
         s, r, m, tok = p.parse_arrow_token()
@@ -218,34 +218,35 @@ def parse_gt(text: str) -> GlobalType:
     p.expect("eof")
 
     if not state_entries and not transitions_raw:
-        state_entries = [(Token("ident", "s0", 0, 0), True, False)]
-    names = [tok.value for tok, _, _ in state_entries]
+        state_entries = [(("ident", "s0", 0), True, False)]
+    names = [tok[1] for tok, _, _ in state_entries]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
-        tok = next(t for t, _, _ in state_entries if t.value == dup)
-        raise ParseError(f"duplicate state name {dup!r}", tok.line, tok.column)
+        tok = next(t for t, _, _ in state_entries if t[1] == dup)
+        raise p.error(f"duplicate state name {dup!r}", tok)
     index = {n: i for i, n in enumerate(names)}
 
-    used_arrows = []
+    built: dict[tuple[str, str, str], Arrow] = {}  # in order of first use
     transitions = set()
     for src, (s, r, m, tok), dst in transitions_raw:
         for endpoint in (src, dst):
-            if endpoint.value not in index:
-                raise ParseError(f"unknown state {endpoint.value!r}",
-                                 endpoint.line, endpoint.column)
-        arrow = _build_arrow(s, r, m, tok, processes, messages)
-        used_arrows.append(arrow)
-        transitions.add((index[src.value], arrow, index[dst.value]))
+            if endpoint[1] not in index:
+                raise p.error(f"unknown state {endpoint[1]!r}", endpoint)
+        arrow = built.get((s, r, m))
+        if arrow is None:
+            arrow = built[(s, r, m)] = _build_arrow(p, s, r, m, tok, processes, messages)
+        transitions.add((index[src[1]], arrow, index[dst[1]]))
+    used_arrows = set(built.values())
 
     if explicit_arrows is not None:
-        alphabet = [_build_arrow(s, r, m, tok, processes, messages)
+        alphabet = [_build_arrow(p, s, r, m, tok, processes, messages)
                     for s, r, m, tok in explicit_arrows]
-        missing = set(used_arrows) - set(alphabet)
+        missing = used_arrows - set(alphabet)
         if missing:
             raise ParseError(f"transition arrow {next(iter(missing))} missing "
                              "from the declared arrow alphabet", 0, 0)
     else:
-        alphabet = sorted(set(used_arrows), key=lambda a: (a.sender, a.receiver, a.message))
+        alphabet = sorted(used_arrows, key=lambda a: (a.sender, a.receiver, a.message))
 
     decl = Declaration(tuple(processes), tuple(messages), tuple(alphabet))
     initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
@@ -266,15 +267,15 @@ def render_gt(g: GlobalType) -> str:
     lines.append("  processes: " + ", ".join(g.declaration.processes) + ";")
     lines.append("  messages: " + ", ".join(g.declaration.messages) + ";")
     lines.append("  arrows: " + ", ".join(str(a) for a in g.declaration.arrows) + ";")
+    names = [_safe_name(nfa.state_name(s), s) for s in range(nfa.n_states)]
     states = []
     for s in range(nfa.n_states):
         mark = ("*" if s in nfa.initial else "") + ("+" if s in nfa.accepting else "")
-        states.append(_safe_name(nfa.state_name(s), s) + mark)
+        states.append(names[s] + mark)
     lines.append("  states: " + ", ".join(states) + ";")
     for s, a, t in sorted(nfa.transitions,
                           key=lambda tr: (tr[0], str(tr[1]), tr[2])):
-        lines.append(f"  {_safe_name(nfa.state_name(s), s)} -- {a} --> "
-                     f"{_safe_name(nfa.state_name(t), t)};")
+        lines.append(f"  {names[s]} -- {a} --> {names[t]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -288,19 +289,19 @@ def parse_cfsm(text: str) -> Cfsm:
     p.expect_keyword("cfsm")
     p.expect("ident")  # machine name, informational
     p.expect_keyword("of")
-    process = p.expect("ident").value
+    process = p.ident()
     p.expect("punct", "{")
     processes, messages, _ = _parse_declaration_sections(p)
     state_entries = []
-    if p.peek().kind == "ident" and p.peek().value == "states":
+    if p.peek() == "states":
         p.next()
         p.expect("punct", ":")
         state_entries = _parse_states(p)
-    names = [tok.value for tok, _, _ in state_entries]
+    names = [tok[1] for tok, _, _ in state_entries]
     index = {n: i for i, n in enumerate(names)}
     transitions = set()
     alphabet = set()
-    while p.peek().value != "}":
+    while p.peek() != "}":
         src = p.expect("ident")
         p.expect("edge_from")
         owner, peer, message, is_send, tok = p.parse_action_token()
@@ -308,18 +309,15 @@ def parse_cfsm(text: str) -> Cfsm:
         dst = p.expect("ident")
         p.expect("punct", ";")
         if owner != process:
-            raise ParseError(f"action owner {owner!r} is not {process!r}",
-                             tok.line, tok.column)
+            raise p.error(f"action owner {owner!r} is not {process!r}", tok)
         if peer not in processes or message not in messages:
-            raise ParseError("undeclared process or message in action",
-                             tok.line, tok.column)
+            raise p.error("undeclared process or message in action", tok)
         act = LocalAction(owner, peer, message, is_send)
         alphabet.add(act)
         for endpoint in (src, dst):
-            if endpoint.value not in index:
-                raise ParseError(f"unknown state {endpoint.value!r}",
-                                 endpoint.line, endpoint.column)
-        transitions.add((index[src.value], act, index[dst.value]))
+            if endpoint[1] not in index:
+                raise p.error(f"unknown state {endpoint[1]!r}", endpoint)
+        transitions.add((index[src[1]], act, index[dst[1]]))
     p.expect("punct", "}")
     initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
     accepting = frozenset(i for i, (_, _, acc) in enumerate(state_entries) if acc)

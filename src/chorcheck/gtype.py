@@ -91,44 +91,28 @@ def participant_count(g: GlobalType) -> int:
     return len({p for a in g.declaration.arrows for p in (a.sender, a.receiver)})
 
 
-def _swap_image(a: Nfa, x: Arrow, y: Arrow) -> Nfa:
-    """NFA for { u·y·x·v | u·x·y·v ∈ L(a) }."""
-    a = eps_eliminate(a)
-    n = a.n_states
-    # layers: [0, n) = before the swap, [n, 2n) = between y and x, [2n, 3n) = after
-    transitions = set()
-    for s, z, t in a.transitions:
-        transitions.add((s, z, t))
-        transitions.add((2 * n + s, z, 2 * n + t))
-    for s, z, t in a.transitions:
-        if z == x:
-            transitions.add((s, y, n + t))      # guess the swap: emit y, remember x-target
-    for s, z, t in a.transitions:
-        if z == y:
-            transitions.add((n + s, x, 2 * n + t))
-    accepting = frozenset(2 * n + s for s in a.accepting)
-    return Nfa(a.alphabet, 3 * n, a.initial, frozenset(transitions), accepting)
-
-
 def is_commutation_closed(g: GlobalType) -> tuple[bool, tuple | None]:
     """Is L(g) closed under adjacent swaps of commuting arrows?
 
     Returns (True, None) or (False, (word_in_language, swapped_word_not_in)).
-    Single-swap closure over all ordered pairs implies full trace closure.
+    Decided by the diamond property on the minimal complete DFA: L is closed
+    exactly when δ(s,xy) = δ(s,yx) for every reachable state s and every
+    commuting pair (x, y).  On the first state that breaks it, the witness
+    is u·x·y·v and u·y·x·v, with u a shortest access word to s and v a
+    shortest suffix telling δ(s,xy) and δ(s,yx) apart.
     """
-    a = eps_eliminate(g.automaton)
-    for x, y in itertools.permutations(g.declaration.arrows, 2):
-        if not commute(x, y):
-            continue
-        ok, witness = automata.includes(a, _swap_image(a, x, y))
-        if not ok:
-            # witness = u·y·x·v ∈ swap image but not in L(g); recover the original
-            for i in range(len(witness) - 1):
-                if witness[i] == y and witness[i + 1] == x:
-                    original = witness[:i] + (x, y) + witness[i + 2:]
-                    if a.accepts(original):
-                        return False, (original, witness)
-            raise AssertionError("swap-image witness without a pre-image")
+    d = automata.minimise(determinise(g.automaton))
+    delta = d.delta
+    pairs = [(x, y) for x, y in itertools.combinations(g.declaration.arrows, 2)
+             if commute(x, y)]
+    for s in range(d.n_states):
+        for x, y in pairs:
+            p, q = delta[(delta[(s, x)], y)], delta[(delta[(s, y)], x)]
+            if p != q:
+                u = automata.access_word(d, s)
+                v = automata.distinguishing_word(d, p, q)
+                xy, yx = u + (x, y) + v, u + (y, x) + v
+                return False, (xy, yx) if d.accepts(xy) else (yx, xy)
     return True, None
 
 

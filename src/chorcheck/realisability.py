@@ -3,7 +3,6 @@ semi-decision in the p2p model via the four-condition reduction."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,17 +45,7 @@ def check_sync_realisable(g: GlobalType, gbar: GlobalType) -> SynchVerdict:
 
 def _all_coaccessible(nfa) -> tuple[bool, str | None]:
     nfa = automata.eps_eliminate(nfa)
-    succs: dict[int, set[int]] = {}
-    for s, _, t in nfa.transitions:
-        succs.setdefault(s, set()).add(t)
-    reach = set(nfa.initial)
-    queue = deque(reach)
-    while queue:
-        s = queue.popleft()
-        for t in succs.get(s, ()):
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
+    reach = automata.reachable(nfa)
     coacc = set(automata._distances_to_accepting(nfa))
     stuck = sorted(reach - coacc)
     if stuck:

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorcheck.automata import (EPS, AlphabetMismatchError, AutomatonError,
-                                Dfa, Nfa, all_accepting, complete, determinise,
-                                dual, eps_eliminate, erase_letter, includes,
-                                is_empty, minimise, prefix_closure, product,
-                                trim, words)
+                                Dfa, Nfa, _subset_construction, access_word,
+                                all_accepting, complete, determinise,
+                                distinguishing_word, dual, eps_eliminate,
+                                erase_letter, includes, is_empty, minimise,
+                                prefix_closure, product, reachable, trim, words)
 
 AB = ("a", "b")
 
@@ -125,6 +128,38 @@ def test_minimise():
     assert m.n_states < complete(d).n_states
     # canonical numbering: minimising twice yields the identical automaton
     assert minimise(m) == m
+
+
+def test_determinise_fast_path_matches_subset_construction():
+    rng = random.Random(11)
+    alphabet = ("a", "b", "c")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        transitions = {(s, x, rng.randrange(n)) for s in range(n) for x in alphabet
+                       if rng.random() < 0.6}
+        names = tuple(f"q{rng.randrange(100)}_{s}" for s in range(n)) \
+            if rng.random() < 0.5 else None
+        a = Nfa(alphabet, n, frozenset({rng.randrange(n)}), frozenset(transitions),
+                frozenset(s for s in range(n) if rng.random() < 0.4), names)
+        fast, subset = determinise(a), _subset_construction(a)
+        assert fast == subset
+        assert fast.names == subset.names
+
+
+def test_reachable():
+    a = nfa({(0, "a", 1), (1, EPS, 2), (3, "b", 0)}, {2}, n=5)
+    assert reachable(a) == {0, 1, 2}
+
+
+def test_access_and_distinguishing_words():
+    # L = words over {a, b} whose number of a's is divisible by 3
+    d = Dfa(AB, 3, 0, frozenset((s, x, (s + 1) % 3 if x == "a" else s)
+                                for s in range(3) for x in AB), frozenset({0}))
+    assert access_word(d, 0) == ()
+    assert access_word(d, 2) == ("a", "a")
+    assert distinguishing_word(d, 1, 2) == ("a",)
+    assert distinguishing_word(d, 0, 1) == ()
+    assert distinguishing_word(d, 2, 2) is None
 
 
 def test_words_enumeration():

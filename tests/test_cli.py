@@ -172,3 +172,28 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["member", GSD, "--msc", "p->z:m1"]) == 2
     capsys.readouterr()
+
+
+def test_verify_complement_over_size_limit_is_unknown(capsys):
+    code = main(["verify-complement", G0, G0, "--max-events", "9"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exceeds the limit" in err and "Traceback" not in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    code = main(["complement", GSD, "-o", str(tmp_path / "missing" / "x.gt")])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    code = main(["project", REAL, "-o", str(tmp_path / "file" / "cfsms")])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_bounds_must_be_positive(capsys):
+    for flag in ("--bound", "--max-events"):
+        code = main(["realisable", REAL, "--model", "p2p", flag, "0",
+                     "--complement", REAL])
+        assert code == 2
+        assert "positive integer" in capsys.readouterr().err

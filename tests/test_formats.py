@@ -82,6 +82,25 @@ def test_syntax_error_location():
     assert exc.value.line == 2
 
 
+def test_error_locations_span_lines_and_comments():
+    src = ("gtype t {  # header\n"
+           "  processes: p, q;\n"
+           "  # a comment line\n"
+           "  messages: m; states: s0*+;\n"
+           "  s0 -- p->r:m --> s0; }")
+    with pytest.raises(ParseError) as exc:
+        parse_gt(src)
+    assert (exc.value.line, exc.value.column) == (5, 9)
+    assert str(exc.value).startswith("5:9: undeclared process 'r'")
+    with pytest.raises(ParseError) as exc:
+        parse_gt("gtype t {\n  # note\n  processes: p @ q;")
+    assert (exc.value.line, exc.value.column) == (3, 16)
+    assert str(exc.value) == "3:16: unexpected character '@'"
+    with pytest.raises(ParseError) as exc:
+        parse_gt("gtype t {\n  processes: p; messages: m;\n\n")
+    assert (exc.value.line, exc.value.column) == (4, 1)   # at the end of the text
+
+
 def test_comments_and_primes():
     src = """# leading comment
     gtype t' {

@@ -15,7 +15,7 @@ from chorcheck.oracle import (bounded_existential, enumerate_canonical,
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
 from chorcheck.semantics import sync_explore
-from chorcheck.trace import Arrow, Declaration, DeclarationError, msc_of
+from chorcheck.trace import Arrow, Declaration, DeclarationError, commute, msc_of
 
 
 def test_alphabet_must_match_declaration():
@@ -82,6 +82,50 @@ def test_commutation_closure_witness(g0, branch):
 def test_commutation_closure_agrees_with_oracle(fixture_suite):
     for g in fixture_suite.values():
         assert is_commutation_closed(g)[0] == swap_closure_oracle(g, 6)[0]
+
+
+def _is_one_commuting_swap(orig, swapped):
+    diff = [i for i, (a, b) in enumerate(zip(orig, swapped)) if a != b]
+    if len(orig) != len(swapped) or len(diff) != 2 or diff[1] != diff[0] + 1:
+        return False
+    i = diff[0]
+    return (orig[i], orig[i + 1]) == (swapped[i + 1], swapped[i]) \
+        and commute(orig[i], orig[i + 1])
+
+
+def test_commutation_closure_differential_random():
+    rng = random.Random(2026)
+    open_det = open_nondet = 0
+    for i in range(240):
+        decl = random_declaration(rng, rng.randint(4, 5), rng.randint(1, 2),
+                                  rng.randint(3, 4))
+        deterministic = i % 2 == 0
+        g = random_global_type(rng, decl, rng.randint(2, 3),
+                               deterministic=deterministic,
+                               density=rng.choice((0.3, 0.6, 0.9)))
+        closed, witness = is_commutation_closed(g)
+        assert closed == swap_closure_oracle(g, 6)[0], i
+        if closed:
+            assert witness is None
+            continue
+        orig, swapped = witness
+        assert g.accepts(orig) and not g.accepts(swapped), i
+        assert _is_one_commuting_swap(orig, swapped), i
+        if deterministic:
+            open_det += 1
+        else:
+            open_nondet += 1
+    # both kinds of input must reach the failure branch often
+    assert open_det >= 20 and open_nondet >= 20
+
+
+def test_commutation_closure_six_process_abstraction():
+    rng = random.Random(1)
+    decl = random_declaration(rng, 6, 2, 12)
+    g = random_global_type(rng, decl, 10)
+    abstraction = sync_product(project(g))
+    assert abstraction.automaton.n_states == 2129
+    assert is_commutation_closed(abstraction) == (True, None)
 
 
 def test_projection_g_sd_configurations(g_sd):
