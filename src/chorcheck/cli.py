@@ -17,8 +17,8 @@ from .complement import (NoComplementMethodError, complement_auto,
                          complement_renunciation, verify_complement)
 from .formats import (ParseError, parse_cfsm, parse_gt, parse_msc, render_cfsm,
                       render_dot, render_gt)
-from .gtype import (ClassificationError, GlobalType, classify,
-                    member_existential, member_universal, project)
+from .gtype import (ClassificationError, DeclarationMismatchError, GlobalType,
+                    classify, member_existential, member_universal, project)
 from .oracle import count_profile_check, enumerate_canonical
 from .realisability import (Status, check_p2p_realisable,
                             check_sync_realisable)
@@ -369,14 +369,20 @@ def cmd_oracle_count_profile(args) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("gt")
     p.add_argument("--predicate", choices=sorted(_PREDICATES), default="k1>k2")
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_non_negative_int, default=8)
 
     return parser
 
@@ -469,7 +475,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, DeclarationError) as exc:
+    except (ParseError, DeclarationError, DeclarationMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

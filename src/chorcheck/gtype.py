@@ -66,11 +66,20 @@ def is_deterministic(g: GlobalType) -> bool:
     return True
 
 
+def _choices_per_state(g: GlobalType) -> list[set[Arrow]]:
+    """`choices(g, s)` for every state s, from one pass over the transitions."""
+    out = [set() for _ in range(g.automaton.n_states)]
+    for src, x, _ in g.automaton.transitions:
+        if x is not EPS:
+            out[src].add(x)
+    return out
+
+
 def is_sender_driven(g: GlobalType) -> bool:
     if not is_deterministic(g):
         return False
-    for s in range(g.automaton.n_states):
-        senders = {a.sender for a in choices(g, s)}
+    for arrows in _choices_per_state(g):
+        senders = {a.sender for a in arrows}
         if len(senders) > 1:
             return False
     return True
@@ -79,8 +88,8 @@ def is_sender_driven(g: GlobalType) -> bool:
 def is_commutation_deterministic(g: GlobalType) -> bool:
     if not is_deterministic(g):
         return False
-    for s in range(g.automaton.n_states):
-        for a, b in itertools.combinations(choices(g, s), 2):
+    for arrows in _choices_per_state(g):
+        for a, b in itertools.combinations(arrows, 2):
             if commute(a, b):
                 return False
     return True

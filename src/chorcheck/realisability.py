@@ -97,6 +97,8 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     Conditions 1-3 are checked by bounded-channel exploration and may come
     back `unknown` when the bound was hit; condition 4 is exact.
     """
+    # first, so that a declaration mismatch is raised before any exploration
+    synch = check_sync_realisable(g, gbar)
     system = project(g)
     mscs, bound_hit = p2p_mscs(system, bound, max_events)
 
@@ -122,7 +124,6 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
             cond3 = Condition(Status.FAILS, m)
             break
 
-    synch = check_sync_realisable(g, gbar)
     if synch.realisable:
         cond4 = Condition(Status.HOLDS)
     elif not synch.cc_holds:

@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .automata import Dfa
 from .trace import Declaration, SizeLimitError
 
@@ -205,30 +203,28 @@ class P2pMsc:
     matching: frozenset  # pairs ((p, i), (q, j))
 
     @cached_property
-    def order(self) -> nx.DiGraph:
-        g = nx.DiGraph()
+    def predecessors(self) -> dict:
+        """Immediate predecessors of each node (p, i): the previous event of
+        p and, for a receive, its matching send.  Nodes run per process in
+        `events` order, then by index."""
+        send_of = {r: s for s, r in self.matching}
+        preds = {}
         for p, evs in self.events:
             for i in range(len(evs)):
-                g.add_node((p, i))
-                if i > 0:
-                    g.add_edge((p, i - 1), (p, i))
-        for s, r in self.matching:
-            g.add_edge(s, r)
-        return g
+                preds[(p, i)] = (((p, i - 1),) if i else ()) + (
+                    (send_of[(p, i)],) if (p, i) in send_of else ())
+        return preds
 
     @cached_property
-    def closure(self) -> nx.DiGraph:
-        return nx.transitive_closure_dag(self.order)
+    def _labels(self) -> dict:
+        return dict(self.events)
 
     def label(self, node) -> tuple[bool, str, str]:
         p, i = node
-        return dict(self.events)[p][i]
+        return self._labels[p][i]
 
     def __len__(self) -> int:
         return sum(len(evs) for _, evs in self.events)
-
-    def precedes(self, a, b) -> bool:
-        return self.closure.has_edge(a, b)
 
     def __str__(self) -> str:
         parts = []
@@ -255,15 +251,22 @@ def msc_of_execution(e: Execution) -> P2pMsc:
     return P2pMsc(events, matching)
 
 
+def _topological_orders(preds: dict, done: tuple = ()):
+    """Every order of the nodes of `preds` that puts each after its predecessors."""
+    if len(done) == len(preds):
+        yield done
+    for node, before in preds.items():
+        if node not in done and all(b in done for b in before):
+            yield from _topological_orders(preds, done + (node,))
+
+
 def linearisations_p2p(m: P2pMsc, limit: int = 10) -> list[Execution]:
     """All linear extensions of the MSC partial order, as executions."""
     if len(m) > limit:
         raise SizeLimitError(f"MSC has {len(m)} events, limit is {limit}")
-    if len(m) == 0:
-        return [Execution(())]
-    match_of = {r: s for s, r in m.matching}
+    send_of = {r: s for s, r in m.matching}
     results = []
-    for topo in nx.all_topological_sorts(m.order):
+    for topo in _topological_orders(m.predecessors):
         index = {node: k for k, node in enumerate(topo)}
         events = []
         for node in topo:
@@ -272,7 +275,7 @@ def linearisations_p2p(m: P2pMsc, limit: int = 10) -> list[Execution]:
             if is_send:
                 events.append(Event(True, p, peer, message))
             else:
-                events.append(Event(False, peer, p, message, match=index[match_of[node]]))
+                events.append(Event(False, peer, p, message, match=index[send_of[node]]))
         results.append(Execution(tuple(events)))
     return results
 
@@ -291,15 +294,15 @@ def is_p2p_execution(e: Execution) -> bool:
             if is_send:
                 per_channel.setdefault((p, peer), []).append((p, i))
     for sends in per_channel.values():
-        # same-process sends: the MSC order is the per-process index order
+        # same-channel sends share their process, and same-channel receives
+        # theirs: on one process the MSC order is the per-process index order
         sends.sort(key=lambda node: node[1])
         for s1, s2 in itertools.combinations(sends, 2):
             if s2 not in match_of:
                 continue
             if s1 not in match_of:
                 return False
-            r1, r2 = match_of[s1], match_of[s2]
-            if not m.precedes(r1, r2):
+            if match_of[s1][1] > match_of[s2][1]:
                 return False
     return True
 
@@ -328,17 +331,8 @@ def is_rsc_schedulable(m: P2pMsc) -> tuple[bool, Execution | None]:
     MSC is a prefix of a synchronous MSC.
     """
     match_of = dict(m.matching)  # send -> recv
-    nodes = list(m.order.nodes)
-    blocks = []
-    in_block = {}
-    for node in nodes:
-        if m.label(node)[0]:  # send
-            pair = (node, match_of.get(node))
-            blocks.append(pair)
-            in_block[node] = pair
-            if pair[1] is not None:
-                in_block[pair[1]] = pair
-    preds = {node: set(m.order.predecessors(node)) for node in nodes}
+    preds = m.predecessors
+    blocks = [(node, match_of.get(node)) for node in preds if m.label(node)[0]]
 
     def ready(block, done):
         members = {block[0]} | ({block[1]} if block[1] else set())
@@ -379,8 +373,7 @@ def is_msc_prefix(prefix: P2pMsc, m: P2pMsc) -> bool:
     set is downward closed in `m`'s order, and the matchings agree on the
     receives kept.
     """
-    lens = {p: len(evs) for p, evs in prefix.events}
-    full = dict(m.events)
+    full = m._labels
     for p, evs in prefix.events:
         if p not in full and evs:
             return False
@@ -389,7 +382,7 @@ def is_msc_prefix(prefix: P2pMsc, m: P2pMsc) -> bool:
     kept = {(p, i) for p, evs in prefix.events for i in range(len(evs))}
     # downward closure in m's order
     for node in kept:
-        for pred in m.order.predecessors(node):
+        for pred in m.predecessors[node]:
             if pred not in kept:
                 return False
     expected = frozenset((s, r) for s, r in m.matching if r in kept)
@@ -416,41 +409,36 @@ class P2pReport:
     channel_keys: tuple
 
 
-def _channel_keys(declaration: Declaration) -> tuple[tuple[str, str], ...]:
-    return tuple((p, q) for p in declaration.processes
-                 for q in declaration.processes if p != q)
+def _successors(system: System, bound: int):
+    """Channel keys, initial configuration and successor function of the
+    p2p semantics with per-channel capacity `bound`.
 
-
-def p2p_explore(system: System, bound: int) -> P2pReport:
-    """BFS over p2p configurations with per-channel capacity `bound`."""
-    if bound < 1:
-        raise ValueError("channel bound must be >= 1")
+    The successor function maps a configuration to its enabled steps
+    (action, channel index, next configuration), in `delta` order per
+    process, and to whether the channel bound blocked a send.
+    """
     decl = system.declaration
-    keys = _channel_keys(decl)
+    keys = tuple((p, q) for p in decl.processes for q in decl.processes if p != q)
     kidx = {k: i for i, k in enumerate(keys)}
-    pidx = {p: i for i, p in enumerate(decl.processes)}
     init = P2pConfiguration(tuple(c.automaton.initial for c in system.cfsms),
                             tuple(() for _ in keys))
-    parent: dict[P2pConfiguration, tuple[P2pConfiguration, LocalAction] | None] = {init: None}
-    queue = deque([init])
-    bound_hit = False
-    deadlocks, finals, orphans = [], [], []
-    while queue:
-        cfg = queue.popleft()
+    outgoing: dict[tuple[int, int], list] = {}  # (process index, state) -> [(action, target)]
+    for i, cfsm in enumerate(system.cfsms):
+        for (src, act), dst in cfsm.automaton.delta.items():
+            outgoing.setdefault((i, src), []).append((act, dst))
+
+    def steps(cfg: P2pConfiguration):
         enabled = []
         blocked_by_bound = False
-        for i, cfsm in enumerate(system.cfsms):
-            s = cfg.locals[i]
-            for (src, act), dst in cfsm.automaton.delta.items():
-                if src != s:
-                    continue
+        for i, s in enumerate(cfg.locals):
+            for act, dst in outgoing.get((i, s), ()):
                 if act.is_send:
                     ch = kidx[(act.process, act.peer)]
                     if len(cfg.channels[ch]) >= bound:
                         blocked_by_bound = True
                         continue
                     channels = list(cfg.channels)
-                    channels[ch] = channels[ch] + (act.message,)
+                    channels[ch] += (act.message,)
                 else:
                     ch = kidx[(act.peer, act.process)]
                     if not cfg.channels[ch] or cfg.channels[ch][0] != act.message:
@@ -459,9 +447,25 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
                     channels[ch] = channels[ch][1:]
                 locals_ = list(cfg.locals)
                 locals_[i] = dst
-                enabled.append((act, P2pConfiguration(tuple(locals_), tuple(channels))))
-        if blocked_by_bound:
-            bound_hit = True
+                enabled.append((act, ch, P2pConfiguration(tuple(locals_), tuple(channels))))
+        return enabled, blocked_by_bound
+
+    return keys, init, steps
+
+
+def p2p_explore(system: System, bound: int) -> P2pReport:
+    """BFS over p2p configurations with per-channel capacity `bound`."""
+    if bound < 1:
+        raise ValueError("channel bound must be >= 1")
+    keys, init, steps = _successors(system, bound)
+    parent: dict[P2pConfiguration, tuple[P2pConfiguration, LocalAction] | None] = {init: None}
+    queue = deque([init])
+    bound_hit = False
+    deadlocks, finals, orphans = [], [], []
+    while queue:
+        cfg = queue.popleft()
+        enabled, blocked_by_bound = steps(cfg)
+        bound_hit = bound_hit or blocked_by_bound
         all_accepting = all(cfg.locals[i] in c.automaton.accepting
                             for i, c in enumerate(system.cfsms))
         empty_channels = all(not ch for ch in cfg.channels)
@@ -477,7 +481,7 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
             deadlocks.append((cfg, tuple(path)))
             if all_accepting and not empty_channels:
                 orphans.append((cfg, tuple(path)))
-        for act, nxt in enabled:
+        for act, _, nxt in enabled:
             if nxt not in parent:
                 parent[nxt] = (cfg, act)
                 queue.append(nxt)
@@ -487,20 +491,16 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
 def p2p_mscs(system: System, bound: int, max_events: int = 8):
     """MSCs of all explored p2p executions with at most `max_events` events.
 
-    Returns (set of P2pMsc, bound_hit).  The search is memoised on
-    (configuration, MSC): two interleavings of the same behaviour are
-    explored once.
+    Returns (dict from each P2pMsc to the first execution found with it,
+    bound_hit).  The search is memoised on (configuration, MSC): two
+    interleavings of the same behaviour are explored once.
     """
-    decl = system.declaration
-    keys = _channel_keys(decl)
-    kidx = {k: i for i, k in enumerate(keys)}
-    init_cfg = P2pConfiguration(tuple(c.automaton.initial for c in system.cfsms),
-                                tuple(() for _ in keys))
-    # channel contents carry the originating send index for matching
+    keys, init, steps = _successors(system, bound)
     mscs = {}
     bound_hit = False
     seen = set()
 
+    # `pending` holds, per channel, the indices of the sends in transit
     def rec(cfg, pending, events):
         nonlocal bound_hit
         execution = Execution(tuple(events))
@@ -512,55 +512,24 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
             return
         seen.add(key)
         mscs.setdefault(m, execution)
+        enabled, blocked_by_bound = steps(cfg)
         if len(events) >= max_events:
-            if any(_has_step(cfg, pending, i, c) for i, c in enumerate(system.cfsms)):
+            if enabled:
                 bound_hit = True  # truncated by the event budget, not exhausted
             return
-        for i, cfsm in enumerate(system.cfsms):
-            s = cfg.locals[i]
-            for (src, act), dst in cfsm.automaton.delta.items():
-                if src != s:
-                    continue
-                if act.is_send:
-                    ch = kidx[(act.process, act.peer)]
-                    if len(cfg.channels[ch]) >= bound:
-                        bound_hit = True
-                        continue
-                    channels = list(cfg.channels)
-                    channels[ch] = channels[ch] + (act.message,)
-                    new_pending = list(pending)
-                    new_pending[ch] = new_pending[ch] + (len(events),)
-                    ev = Event(True, act.process, act.peer, act.message)
-                else:
-                    ch = kidx[(act.peer, act.process)]
-                    if not cfg.channels[ch] or cfg.channels[ch][0] != act.message:
-                        continue
-                    channels = list(cfg.channels)
-                    channels[ch] = channels[ch][1:]
-                    new_pending = list(pending)
-                    match = new_pending[ch][0]
-                    new_pending[ch] = new_pending[ch][1:]
-                    ev = Event(False, act.peer, act.process, act.message, match=match)
-                locals_ = list(cfg.locals)
-                locals_[i] = dst
-                rec(P2pConfiguration(tuple(locals_), tuple(channels)),
-                    tuple(new_pending), events + [ev])
-
-    def _has_step(cfg, pending, i, cfsm):
-        s = cfg.locals[i]
-        for (src, act), _ in cfsm.automaton.delta.items():
-            if src != s:
-                continue
+        bound_hit = bound_hit or blocked_by_bound
+        for act, ch, nxt in enabled:
+            new_pending = list(pending)
             if act.is_send:
-                if len(cfg.channels[kidx[(act.process, act.peer)]]) < bound:
-                    return True
+                new_pending[ch] += (len(events),)
+                ev = Event(True, act.process, act.peer, act.message)
             else:
-                ch = kidx[(act.peer, act.process)]
-                if cfg.channels[ch] and cfg.channels[ch][0] == act.message:
-                    return True
-        return False
+                ev = Event(False, act.peer, act.process, act.message,
+                           match=new_pending[ch][0])
+                new_pending[ch] = new_pending[ch][1:]
+            rec(nxt, tuple(new_pending), events + [ev])
 
-    rec(init_cfg, tuple(() for _ in keys), [])
+    rec(init, tuple(() for _ in keys), [])
     return mscs, bound_hit
 
 
@@ -575,18 +544,22 @@ class CausalClosureReport:
         return not self.violations
 
 
-def check_causal_closure(system: System, bound: int, max_events: int = 8,
-                         samples: int | None = None) -> CausalClosureReport:
-    """Every linearisation of every explored p2p MSC must be a p2p execution."""
+def check_causal_closure(system: System, bound: int,
+                         max_events: int = 8) -> CausalClosureReport:
+    """Every explored p2p MSC must be FIFO, and so must every linearisation.
+
+    The MSC-level predicate is the same for all linearisations of one MSC,
+    so it runs once per MSC; each linearisation is checked on its event
+    sequence.
+    """
     mscs, _ = p2p_mscs(system, bound, max_events)
     violations = []
     n_lins = 0
-    items = list(mscs)
-    if samples is not None:
-        items = items[:samples]
-    for m in items:
-        for e in linearisations_p2p(m, limit=max_events):
+    for m, e in mscs.items():
+        if not is_p2p_execution(e):
+            violations.append((m, e))
+        for lin in linearisations_p2p(m, limit=max_events):
             n_lins += 1
-            if not is_p2p_execution(e):
-                violations.append((m, e))
-    return CausalClosureReport(len(items), n_lins, violations)
+            if not is_p2p_execution_by_sequence(lin):
+                violations.append((m, lin))
+    return CausalClosureReport(len(mscs), n_lins, violations)

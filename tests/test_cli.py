@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
+import chorcheck
 from chorcheck.cli import main
 
 from conftest import FIXTURE_DIR, load_schema
@@ -172,6 +177,12 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["member", GSD, "--msc", "p->z:m1"]) == 2
     capsys.readouterr()
+    # a negative length used to make the word enumeration run forever
+    assert main(["oracle", "count-profile", BRANCH, "--max-len", "-1"]) == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    code, payload = run_json(capsys, "oracle_count_profile", "oracle",
+                             "count-profile", BRANCH, "--max-len", "0")
+    assert code == 0 and payload["checked_words"] == 0
 
 
 def test_verify_complement_over_size_limit_is_unknown(capsys):
@@ -197,3 +208,23 @@ def test_bounds_must_be_positive(capsys):
                      "--complement", REAL])
         assert code == 2
         assert "positive integer" in capsys.readouterr().err
+
+
+def test_realisable_complement_of_other_declaration_is_usage_error(capsys):
+    for model in ("synch", "p2p"):
+        code = main(["realisable", REAL, "--complement", G0, "--model", model])
+        err = capsys.readouterr().err
+        assert code == 2, model
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_third_party_module():
+    code = ("import sys; before = set(sys.modules); import chorcheck.cli; "
+            "new = {n.partition('.')[0] for n in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'chorcheck'}))")
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -50,6 +51,21 @@ def test_choices(g_sd, gsd_arrows):
     assert choices(g_sd, 3) == frozenset()
     with pytest.raises(ValueError):
         choices(g_sd, 99)
+
+
+def test_choice_predicates_agree_with_choices():
+    rng = random.Random(11)
+    for i in range(200):
+        decl = random_declaration(rng, rng.randint(3, 4), 2, rng.randint(3, 5))
+        g = random_global_type(rng, decl, rng.randint(1, 4),
+                               deterministic=i % 4 != 0,
+                               density=rng.choice((0.3, 0.6, 0.9)))
+        per_state = [choices(g, s) for s in range(g.automaton.n_states)]
+        assert is_sender_driven(g) == (is_deterministic(g) and all(
+            len({a.sender for a in cs}) <= 1 for cs in per_state)), i
+        assert is_commutation_deterministic(g) == (is_deterministic(g) and not any(
+            commute(a, b) for cs in per_state
+            for a, b in itertools.combinations(cs, 2))), i
 
 
 def test_nondeterministic_not_sender_driven(cross):

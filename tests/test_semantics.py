@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from chorcheck import semantics
 from chorcheck.gtype import project
 from chorcheck.semantics import (Event, Execution, ExecutionError,
                                  check_causal_closure, is_msc_prefix,
@@ -111,6 +113,29 @@ def test_fifo_definitions_agree_on_random_executions():
     assert seen_valid and seen_valid < seen_both
 
 
+def test_linearisations_p2p_brute_force():
+    # the linearisations are exactly the event permutations that keep each
+    # process's order and put every send before its receive
+    rng = random.Random(23)
+    for _ in range(200):
+        e = _random_candidate(rng)
+        expected = set()
+        for perm in itertools.permutations(range(len(e.events))):
+            pos = {old: new for new, old in enumerate(perm)}
+            evs = [e.events[i] for i in perm]
+            if any(a.process == b.process and i > j
+                   for (a, i), (b, j) in itertools.combinations(
+                       zip(evs, perm), 2)):
+                continue
+            if any(not ev.is_send and pos[ev.match] > k for k, ev in enumerate(evs)):
+                continue
+            expected.add(Execution(tuple(
+                ev if ev.is_send else Event(False, ev.sender, ev.receiver,
+                                            ev.message, match=pos[ev.match])
+                for ev in evs)))
+        assert set(linearisations_p2p(msc_of_execution(e))) == expected, str(e)
+
+
 def test_rsc_schedulable():
     e = Execution((s("p", "q", "m"), r("p", "q", "m", 0)))
     ok, schedule = is_rsc_schedulable(msc_of_execution(e))
@@ -165,3 +190,16 @@ def test_causal_closure_fixtures(fixture_suite):
         report = check_causal_closure(project(g), 2, 6)
         assert report.passed, g.name
         assert report.checked_linearisations >= report.checked_mscs
+
+
+def test_causal_closure_reports_non_fifo_msc(real, monkeypatch):
+    # a hand-built MSC whose two same-channel messages overtake each other
+    e = Execution((s("p", "q", "a"), s("p", "q", "a"),
+                   r("p", "q", "a", 1), r("p", "q", "a", 0)))
+    m = msc_of_execution(e)
+    monkeypatch.setattr(semantics, "p2p_mscs", lambda *args: ({m: e}, False))
+    report = check_causal_closure(project(real), 2, 6)
+    assert not report.passed
+    assert report.checked_mscs == 1
+    # the MSC-level check plus every one of its linearisations
+    assert len(report.violations) == 1 + report.checked_linearisations
