@@ -2,6 +2,8 @@
 
 Generates seeded random global types, complements each with the first
 applicable procedure, and checks the bounded xor law against the oracle.
+Exits 1 when the law fails on some type, 2 on a bad argument, and 3 when
+`--max-events` exceeds the oracle's size limit.
 """
 
 from __future__ import annotations
@@ -13,13 +15,24 @@ from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   verify_complement)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_three_process_deterministic)
+from chorcheck.trace import SizeLimitError
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--max-events", type=int, default=5)
+    parser.add_argument("--count", type=positive_int, default=50)
+    parser.add_argument("--max-events", type=positive_int, default=5)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -33,7 +46,10 @@ def main():
         except NoComplementMethodError:
             skipped += 1
             continue
-        report = verify_complement(g, result.gtype, args.max_events)
+        try:
+            report = verify_complement(g, result.gtype, args.max_events)
+        except SizeLimitError as exc:
+            parser.exit(3, f"error: {exc}\n")
         status = "ok" if report.passed else "FAIL"
         if not report.passed:
             failures += 1

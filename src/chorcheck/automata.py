@@ -473,6 +473,8 @@ def distinguishing_word(d: Dfa, p: int, q: int) -> tuple | None:
 
 def words(a: Nfa, max_len: int):
     """Yield every accepted word of length <= max_len (depth-first)."""
+    if max_len < 0:
+        raise ValueError(f"word length bound must be non-negative, got {max_len}")
     a = eps_eliminate(a)
 
     def rec(states, prefix):

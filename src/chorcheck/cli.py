@@ -136,8 +136,6 @@ def cmd_verify_complement(args) -> int:
     gbar = _load_gt(args.gbar)
     try:
         report = verify_complement(g, gbar, args.max_events)
-    except SizeLimitError as exc:
-        raise CliError(str(exc), EXIT_UNKNOWN) from None
     except (DeclarationError, ValueError) as exc:
         raise CliError(str(exc)) from None
     payload = {
@@ -312,16 +310,9 @@ def cmd_dot(args) -> int:
     return EXIT_HOLDS
 
 
-def cmd_oracle_xor(args) -> int:
-    return cmd_verify_complement(args)
-
-
 def cmd_oracle_enumerate(args) -> int:
     g = _load_gt(args.gt)
-    try:
-        universe = enumerate_canonical(g.declaration, args.max_events)
-    except SizeLimitError as exc:
-        raise CliError(str(exc)) from None
+    universe = enumerate_canonical(g.declaration, args.max_events)
     ordered = sorted(universe, key=lambda m: (len(m), m.word))
     payload = {"command": "oracle-enumerate", "max_events": args.max_events,
                "count": len(universe), "mscs": [_msc_json(m) for m in ordered]}
@@ -441,13 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     ora = sub.add_parser("oracle", help="brute-force oracle entry points")
     osub = ora.add_subparsers(dest="oracle_command", required=True)
 
-    p = osub.add_parser("xor", help="bounded xor complement check")
-    p.set_defaults(func=cmd_oracle_xor)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("gt")
-    p.add_argument("gbar")
-    p.add_argument("--max-events", type=_positive_int, default=6)
-
     p = osub.add_parser("enumerate", help="enumerate the canonical-MSC universe")
     p.set_defaults(func=cmd_oracle_enumerate)
     p.add_argument("--json", action="store_true")
@@ -478,6 +462,9 @@ def main(argv=None) -> int:
     except (ParseError, DeclarationError, DeclarationMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

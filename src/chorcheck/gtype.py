@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from . import automata
 from .automata import EPS, Nfa, determinise, eps_eliminate
 from .semantics import Cfsm, System, local_alphabet, recv_action, send_action
-from .trace import Arrow, Declaration, DeclarationError, Msc, commute, minimal_arrows, msc_of
+from .trace import (Arrow, Declaration, DeclarationError, Msc, commute,
+                    minimal_arrows, next_arrow, next_msc)
 
 
 class DeclarationMismatchError(ValueError):
@@ -206,30 +207,19 @@ def dual_gt(g: GlobalType) -> GlobalType:
 def member_existential(g: GlobalType, m: Msc) -> bool:
     """Does some linearisation of `m` belong to L(g)?"""
     a = eps_eliminate(g.automaton)
-    decl = g.declaration
     memo: dict = {}
 
-    def rec(states: frozenset, word: tuple[Arrow, ...]) -> bool:
-        if not word:
+    def rec(states: frozenset, trace: Msc) -> bool:
+        if not trace.word:
             return bool(states & a.accepting)
-        key = (states, word)
-        if key in memo:
-            return memo[key]
-        result = False
-        trace = Msc(word, decl)
-        for arrow in minimal_arrows(trace):
-            nxt = a.step(states, arrow)
-            if not nxt:
-                continue
-            i = word.index(arrow)
-            rest = msc_of(word[:i] + word[i + 1:], decl).word
-            if rec(nxt, rest):
-                result = True
-                break
-        memo[key] = result
-        return result
+        key = (states, trace)
+        if key not in memo:
+            memo[key] = any(rec(nxt, next_msc(trace, (arrow,)))
+                            for arrow in minimal_arrows(trace)
+                            if (nxt := a.step(states, arrow)))
+        return memo[key]
 
-    return rec(a.eps_closure(a.initial), m.word)
+    return rec(a.eps_closure(a.initial), m)
 
 
 def member_universal(g: GlobalType, m: Msc) -> bool:
@@ -244,8 +234,6 @@ def member_existential_via_next(g: GlobalType, m: Msc) -> bool:
     Valid for commutation-deterministic global types: peel off the first
     choice arrow when it is unblocked, otherwise reject.
     """
-    from .trace import next_arrow, next_msc
-
     if not is_commutation_deterministic(g):
         raise ClassificationError("recursion requires commutation-determinism")
     a = g.automaton

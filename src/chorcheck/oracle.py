@@ -132,6 +132,15 @@ def swap_closure_oracle(g, max_len: int):
     return True, None
 
 
+def normal_form_oracle(word, declaration: Declaration) -> tuple:
+    """Lex-least linearisation of the trace of `word`, by listing them all."""
+    from .trace import linearisations
+
+    index = declaration.arrow_index
+    return min(linearisations(Msc(tuple(word), declaration)),
+               key=lambda w: [index[a] for a in w])
+
+
 def member_existential_oracle(g, m: Msc, limit: int = 10) -> bool:
     """Membership by enumerating every linearisation."""
     from .trace import linearisations

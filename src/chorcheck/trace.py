@@ -40,17 +40,14 @@ class Arrow:
                 f"self-message {self.sender}->{self.receiver}:{self.message} not allowed"
             )
 
-    @property
-    def participants(self) -> frozenset[str]:
-        return frozenset((self.sender, self.receiver))
-
     def __str__(self) -> str:
         return f"{self.sender}->{self.receiver}:{self.message}"
 
 
 def commute(a: Arrow, b: Arrow) -> bool:
     """Two arrows commute iff their participant sets are disjoint."""
-    return not (a.participants & b.participants)
+    ends = (b.sender, b.receiver)
+    return a.sender not in ends and a.receiver not in ends
 
 
 def parse_arrow(text: str) -> Arrow:
@@ -96,10 +93,6 @@ class Declaration:
         midx = {m: i for i, m in enumerate(self.messages)}
         key = lambda a: (pidx[a.sender], pidx[a.receiver], midx[a.message])
         object.__setattr__(self, "arrows", tuple(sorted(arrows, key=key)))
-        object.__setattr__(self, "_key", key)
-
-    def arrow_key(self, a: Arrow):
-        return self._key(a)
 
     def msc(self, word) -> "Msc":
         return msc_of(word, self)
@@ -109,19 +102,20 @@ class Declaration:
         return {a: i for i, a in enumerate(self.arrows)}
 
 
-def _normal_form(word, key) -> tuple[Arrow, ...]:
-    # Greedy lexicographic normal form: repeatedly extract the least
-    # dependence-minimal occurrence.
-    rest = list(word)
-    out = []
-    while rest:
-        best = None
-        for i, a in enumerate(rest):
-            if any(not commute(rest[j], a) for j in range(i)):
-                continue
-            if best is None or key(a) < key(rest[best]):
-                best = i
-        out.append(rest.pop(best))
+def _normal_form(word, index) -> tuple[Arrow, ...]:
+    # A word is the lex-least linearisation of its trace iff it has no
+    # factor b·u·a with a < b and a independent of b and of every letter of
+    # u (Anisimov-Knuth).  So each arrow a is inserted into the normal form
+    # built so far: left past the trailing arrows that commute with a, then
+    # right past those of them that precede a in the declaration order.
+    out: list[Arrow] = []
+    for a in word:
+        i = len(out)
+        while i and commute(out[i - 1], a):
+            i -= 1
+        while i < len(out) and index[out[i]] < index[a]:
+            i += 1
+        out.insert(i, a)
     return tuple(out)
 
 
@@ -145,15 +139,15 @@ class Msc:
 def msc_of(word, declaration: Declaration) -> Msc:
     """Canonical trace of an arrow word."""
     word = tuple(word)
-    alphabet = set(declaration.arrows)
+    index = declaration.arrow_index
     for a in word:
-        if a not in alphabet:
+        if a not in index:
             raise DeclarationError(f"arrow {a} not in the declared alphabet")
-    return Msc(_normal_form(word, declaration.arrow_key), declaration)
+    return Msc(_normal_form(word, index), declaration)
 
 
 def is_normal_form(word, declaration: Declaration) -> bool:
-    return tuple(word) == _normal_form(word, declaration.arrow_key)
+    return tuple(word) == _normal_form(word, declaration.arrow_index)
 
 
 def minimal_arrows(m: Msc) -> frozenset[Arrow]:

@@ -165,6 +165,10 @@ def test_access_and_distinguishing_words():
 def test_words_enumeration():
     a = nfa({(0, "a", 1)}, {0, 1})
     assert lang(a, 3) == {(), ("a",)}
+    assert lang(a, 0) == {()}
+    # a negative bound is refused rather than recursing without end
+    with pytest.raises(ValueError, match="non-negative"):
+        next(words(a, -1))
 
 
 letters = st.sampled_from(AB)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import chorcheck
 from chorcheck.cli import main
@@ -161,15 +162,6 @@ def test_oracle_count_profile(capsys):
     assert code == 0 and payload["passed"] is True
 
 
-def test_oracle_xor(capsys, tmp_path):
-    comp = tmp_path / "bar.gt"
-    main(["complement", G0, "-o", str(comp)])
-    capsys.readouterr()
-    code, payload = run_json(capsys, "verify_complement", "oracle", "xor",
-                             G0, str(comp), "--max-events", "4")
-    assert code == 0 and payload["passed"] is True
-
-
 def test_usage_errors(capsys):
     assert main(["classify"]) == 2                    # missing argument
     capsys.readouterr()
@@ -190,6 +182,64 @@ def test_verify_complement_over_size_limit_is_unknown(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "exceeds the limit" in err and "Traceback" not in err
+
+
+NINE_ARROWS = """gtype nine {
+  processes: p, q;
+  messages: m1, m2, m3, m4, m5, m6, m7, m8, m9;
+  arrows: %s;
+  states: s0*+;
+}
+""" % ", ".join(f"p->q:m{i}" for i in range(1, 10))
+
+
+def test_size_limits_are_unknown(capsys, tmp_path):
+    nine = str(tmp_path / "nine.gt")
+    Path(nine).write_text(NINE_ARROWS)
+    for argv in (["verify-complement", nine, nine, "--max-events", "1"],
+                 ["oracle", "enumerate", G0, "--max-events", "9"],
+                 ["oracle", "enumerate", nine, "--max-events", "1"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3, argv
+        assert err.startswith("error:") and "exceeds the limit" in err, argv
+        assert out == ""
+
+
+# Every subcommand, with BAD standing for the path of the bad input.
+BAD = "<bad>"
+SUBCOMMANDS = {
+    "classify": ["classify", BAD],
+    "complement": ["complement", BAD],
+    "verify-complement": ["verify-complement", BAD, G0],
+    "verify-complement-gbar": ["verify-complement", G0, BAD],
+    "member": ["member", BAD, "--msc", "p->q:m1"],
+    "member-universal": ["member", BAD, "--msc", "p->q:m1", "--universal"],
+    "project": ["project", BAD],
+    "realisable-synch": ["realisable", BAD, "--model", "synch", "--complement", G0],
+    "realisable-p2p-complement": ["realisable", G0, "--model", "p2p",
+                                  "--complement", BAD],
+    "simulate": ["simulate", BAD],
+    "dot": ["dot", BAD],
+    "oracle-enumerate": ["oracle", "enumerate", BAD],
+    "oracle-count-profile": ["oracle", "count-profile", BAD],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing", "malformed"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS.values(), ids=SUBCOMMANDS.keys())
+def test_bad_input_is_usage_error(capsys, tmp_path, argv, bad):
+    path = tmp_path / "bad.gt"
+    if bad == "malformed":
+        path.write_text("gtype broken {\n  processes: p, q;\n  states: s0* s1;\n")
+    argv = [str(path) if a == BAD else a for a in argv]
+    for extra in ([], ["--json"]):
+        code = main(argv + extra)
+        out, err = capsys.readouterr()
+        # exit 1 means "property fails" and must come with a verdict
+        assert code == 2, argv + extra
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""
 
 
 def test_unwritable_output_is_usage_error(capsys, tmp_path):

@@ -221,3 +221,18 @@ def test_determinise_gt_preserves_bounded_language():
     decl = random_declaration(rng, 3, 2, 3)
     g = random_global_type(rng, decl, 3, deterministic=False)
     assert bounded_existential(determinise_gt(g), 4) == bounded_existential(g, 4)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_membership_random_types_agree_with_oracle(deterministic):
+    rng = random.Random(7 if deterministic else 8)
+    answers = set()
+    for _ in range(10):
+        decl = random_declaration(rng, rng.randint(3, 5), 2, rng.randint(2, 4))
+        g = random_global_type(rng, decl, rng.randint(2, 4),
+                               deterministic=deterministic, density=0.6)
+        for m in enumerate_canonical(decl, 5):
+            expected = member_existential_oracle(g, m)
+            assert member_existential(g, m) == expected, (g.automaton, m)
+            answers.add(expected)
+    assert answers == {True, False}

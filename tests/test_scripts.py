@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import chorcheck
+
+from conftest import REPO
+
+AUDIT = str(REPO / "scripts" / "complement_audit.py")
+
+
+def run_audit(*args):
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, AUDIT, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_complement_audit_bounds():
+    # a non-positive bound is refused rather than hanging in the word enumeration
+    for args in (["--max-events", "-1"], ["--max-events", "0"], ["--count", "0"]):
+        r = run_audit(*args)
+        assert r.returncode == 2, args
+        assert "positive integer" in r.stderr
+    r = run_audit("--count", "1", "--max-events", "9")
+    assert r.returncode == 3
+    assert "exceeds the limit" in r.stderr and "Traceback" not in r.stderr
+    r = run_audit("--count", "2", "--max-events", "3")
+    assert r.returncode == 0
+    assert "2 passed, 0 failed" in r.stdout

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from chorcheck.trace import (Arrow, CommutingChoicesError, Declaration,
                              DeclarationError, commute, is_normal_form,
                              linearisations, minimal_arrows, msc_of,
                              next_arrow, next_msc, parse_arrow)
+from chorcheck.oracle import normal_form_oracle
+from chorcheck.randomgen import random_declaration
 
 A = Arrow("p", "q", "m1")
 B = Arrow("r", "s", "m2")   # commutes with A
@@ -143,3 +147,35 @@ def test_linearisations_share_one_trace(w):
     lins = linearisations(m)
     assert tuple(w) in lins or msc_of(w, DECL).word in lins
     assert all(msc_of(v, DECL) == m for v in lins)
+
+
+def _random_words(seed, count, max_len):
+    """Seeded (word, declaration) pairs: 2-6 processes, at most 10 arrows."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        decl = random_declaration(rng, rng.randint(2, 6), rng.randint(1, 3),
+                                  rng.randint(1, 10))
+        for _ in range(20):
+            n = rng.randint(0, max_len)
+            out.append((tuple(rng.choice(decl.arrows) for _ in range(n)), decl))
+    return out
+
+
+def test_normal_form_is_least_linearisation_differential():
+    cases = _random_words(seed=11, count=2400, max_len=7)
+    for w, decl in cases:
+        assert msc_of(w, decl).word == normal_form_oracle(w, decl), w
+
+
+def test_next_msc_removes_a_first_arrow_differential():
+    # next_msc(m, (a,)) is the trace of the rest of a linearisation of m
+    # that starts with a, or None when no linearisation starts with a.
+    for w, decl in _random_words(seed=12, count=400, max_len=6):
+        m = msc_of(w, decl)
+        lins = linearisations(m)
+        for a in decl.arrows:
+            tails = {msc_of(v[1:], decl) for v in lins if v[:1] == (a,)}
+            assert len(tails) <= 1
+            expected = tails.pop() if tails else None
+            assert next_msc(m, (a,)) == expected, (m, a)
