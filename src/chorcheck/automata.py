@@ -69,9 +69,22 @@ class Nfa:
     def letter_index(self) -> dict:
         return {x: i for i, x in enumerate(self.alphabet)}
 
-    @property
+    @cached_property
     def epsilon_free(self) -> bool:
         return all(x is not EPS for _, x, _ in self.transitions)
+
+    @cached_property
+    def _delta(self) -> dict | None:
+        """(state, letter) -> successor if deterministic (one initial state,
+        no epsilon, at most one successor per pair), else None."""
+        if len(self.initial) != 1 or not self.epsilon_free:
+            return None
+        delta = {}
+        for s, x, t in self.transitions:
+            if (s, x) in delta:
+                return None
+            delta[(s, x)] = t
+        return delta
 
     def eps_closure(self, states) -> frozenset:
         seen = set(states)
@@ -162,22 +175,11 @@ def eps_eliminate(a: Nfa) -> Nfa:
         if cl & a.accepting:
             accepting.add(s)
         for s2 in cl:
-            for (src, x), targets in a._step_map.items():
-                if src == s2 and x is not EPS:
-                    for t in targets:
-                        transitions.add((s, x, t))
+            for x in a.alphabet:
+                for t in a._step_map.get((s2, x), ()):
+                    transitions.add((s, x, t))
     return Nfa(a.alphabet, a.n_states, a.initial, frozenset(transitions),
                frozenset(accepting), a.names)
-
-
-def _successor_map(a: Nfa) -> dict | None:
-    """(state, letter) -> successor, or None when some pair has two successors."""
-    delta = {}
-    for s, x, t in a.transitions:
-        if (s, x) in delta:
-            return None
-        delta[(s, x)] = t
-    return delta
 
 
 def determinise(a: Nfa) -> Dfa:
@@ -187,9 +189,8 @@ def determinise(a: Nfa) -> Dfa:
     the same numbering, transitions, accepting set and names.
     """
     a = eps_eliminate(a)
-    delta = _successor_map(a) if len(a.initial) == 1 else None
-    if delta is not None:
-        return _determinise_deterministic(a, delta)
+    if a._delta is not None:
+        return _determinise_deterministic(a, a._delta)
     return _subset_construction(a)
 
 

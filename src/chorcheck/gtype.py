@@ -56,15 +56,7 @@ def choices(g: GlobalType, s: int) -> frozenset[Arrow]:
 
 
 def is_deterministic(g: GlobalType) -> bool:
-    a = g.automaton
-    if len(a.initial) != 1 or not a.epsilon_free:
-        return False
-    seen = set()
-    for s, x, _ in a.transitions:
-        if (s, x) in seen:
-            return False
-        seen.add((s, x))
-    return True
+    return g.automaton._delta is not None
 
 
 def _choices_per_state(g: GlobalType) -> list[set[Arrow]]:
@@ -237,7 +229,6 @@ def member_existential_via_next(g: GlobalType, m: Msc) -> bool:
     if not is_commutation_deterministic(g):
         raise ClassificationError("recursion requires commutation-determinism")
     a = g.automaton
-    delta = {(s, x): t for s, x, t in a.transitions}
 
     def rec(state: int, trace: Msc) -> bool:
         if len(trace) == 0:
@@ -249,6 +240,6 @@ def member_existential_via_next(g: GlobalType, m: Msc) -> bool:
         rest = next_msc(trace, cs)
         if rest is None:
             return False
-        return rec(delta[(state, arrow)], rest)
+        return rec(a._delta[(state, arrow)], rest)
 
     return rec(next(iter(a.initial)), m)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -177,6 +178,27 @@ random_nfas = st.builds(
     st.lists(st.tuples(st.integers(0, 3), letters, st.integers(0, 3)), max_size=12),
     st.lists(st.integers(0, 3), max_size=4),
 )
+
+
+random_eps_nfas = st.builds(
+    lambda trs, acc, init: nfa(set(trs), set(acc), n=4, initial=set(init) or {0}),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(AB + (EPS,)),
+                       st.integers(0, 3)), max_size=12),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@given(random_eps_nfas)
+@settings(max_examples=60, deadline=None)
+def test_eps_eliminate_random(a):
+    # `Nfa.accepts` follows epsilon closures itself; `words` would call
+    # eps_eliminate
+    e = eps_eliminate(a)
+    assert e.epsilon_free
+    for n in range(5):
+        for w in itertools.product(AB, repeat=n):
+            assert e.accepts(w) == a.accepts(w), w
 
 
 @given(random_nfas)

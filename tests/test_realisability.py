@@ -7,11 +7,13 @@ from chorcheck.complement import (NoComplementMethodError, complement_auto,
 from chorcheck.gtype import (DeclarationMismatchError, member_existential,
                              project, sync_product)
 from chorcheck.oracle import member_existential_oracle
-from chorcheck.randomgen import random_commutation_deterministic
+from chorcheck.randomgen import (random_commutation_deterministic,
+                                 random_declaration, random_global_type)
 from chorcheck.realisability import (Status, accept_completion,
                                      check_p2p_realisable,
                                      check_sync_realisable,
                                      cross_model_property_test)
+from chorcheck.semantics import is_msc_prefix, p2p_mscs
 from chorcheck.trace import msc_of
 
 
@@ -70,6 +72,26 @@ def test_accept_completion_is_prefix_closure(real):
     for m in full:
         for k in range(len(m.word) + 1):
             assert msc_of(m.word[:k], real.declaration) in lang
+
+
+def test_membership_in_explored_mscs_matches_prefix_search():
+    # condition 3 tests membership in g's explored MSCs; the reference is the
+    # all-pairs prefix search.  h ranges over unrelated types on g's
+    # declaration, so both answers occur.
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        decl = random_declaration(rng, 3, 2, 4)
+        det, bound = seed % 2 == 0, 1 + seed % 4 // 2
+        g = random_global_type(rng, decl, 3, deterministic=det)
+        h = random_global_type(rng, decl, 3, deterministic=det)
+        mscs_g, _ = p2p_mscs(project(g), bound, 5)
+        mscs_h, _ = p2p_mscs(project(h), bound, 5)
+        for m in mscs_h:
+            inside = m in mscs_g
+            assert inside == any(is_msc_prefix(m, big) for big in mscs_g), (seed, str(m))
+            outcomes.add(inside)
+    assert outcomes == {True, False}
 
 
 def test_p2p_real_holds(real):
