@@ -13,12 +13,10 @@ from .gtype import (Classification, GlobalType, classify, gt_product,
                     member_existential_via_next, member_universal, project,
                     sync_product)
 from .realisability import (P2pVerdict, Status, SynchVerdict,
-                            accept_completion, check_p2p_realisable,
-                            check_sync_realisable, cross_model_property_test)
+                            check_p2p_realisable, check_sync_realisable)
 from .semantics import (Cfsm, Event, Execution, LocalAction, P2pMsc, System,
-                        check_causal_closure, is_p2p_execution,
-                        is_rsc_schedulable, linearisations_p2p,
-                        msc_of_execution, p2p_explore, p2p_mscs)
+                        is_rsc_schedulable, msc_of_execution, p2p_explore,
+                        p2p_mscs)
 from .trace import (Arrow, Declaration, Msc, commute, linearisations,
                     minimal_arrows, msc_of, next_arrow, next_msc, parse_arrow)
 

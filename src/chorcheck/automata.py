@@ -66,10 +66,6 @@ class Nfa:
         return m
 
     @cached_property
-    def letter_index(self) -> dict:
-        return {x: i for i, x in enumerate(self.alphabet)}
-
-    @cached_property
     def epsilon_free(self) -> bool:
         return all(x is not EPS for _, x, _ in self.transitions)
 

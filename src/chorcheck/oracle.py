@@ -1,16 +1,21 @@
 """Brute-force bounded-universe ground truth.
 
 Everything here enumerates: canonical traces over a small arrow alphabet,
-bounded existential MSC languages, the xor complement law, and the
-count-profile characterisation used by the non-complementability fixture.
-These are the oracles the cleverer constructions are tested against.
+bounded existential MSC languages, the xor complement law, the
+count-profile characterisation used by the non-complementability fixture,
+and the linearisations and FIFO checks of p2p MSCs.  These are the oracles
+the cleverer constructions are tested against; no verdict uses them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .automata import Nfa, eps_eliminate, words
+from .realisability import Status, check_p2p_realisable
+from .semantics import (Event, Execution, P2pMsc, System, msc_of_execution,
+                        p2p_mscs)
 from .trace import Declaration, Msc, SizeLimitError, is_normal_form, msc_of
 
 
@@ -146,3 +151,140 @@ def member_existential_oracle(g, m: Msc, limit: int = 10) -> bool:
     from .trace import linearisations
 
     return any(g.automaton.accepts(w) for w in linearisations(m, limit))
+
+
+# ---------------------------------------------------------------------------
+# p2p MSCs and the p2p => synchronous implication
+
+
+def _topological_orders(preds: dict, done: tuple = ()):
+    """Every order of the nodes of `preds` that puts each after its predecessors."""
+    if len(done) == len(preds):
+        yield done
+    for node, before in preds.items():
+        if node not in done and all(b in done for b in before):
+            yield from _topological_orders(preds, done + (node,))
+
+
+def linearisations_p2p(m: P2pMsc, limit: int = 10) -> list[Execution]:
+    """All linear extensions of the MSC partial order, as executions."""
+    if len(m) > limit:
+        raise SizeLimitError(f"MSC has {len(m)} events, limit is {limit}")
+    send_of = {r: s for s, r in m.matching}
+    results = []
+    for topo in _topological_orders(m.predecessors):
+        index = {node: k for k, node in enumerate(topo)}
+        events = []
+        for node in topo:
+            is_send, peer, message = m.label(node)
+            p = node[0]
+            if is_send:
+                events.append(Event(True, p, peer, message))
+            else:
+                events.append(Event(False, peer, p, message, match=index[send_of[node]]))
+        results.append(Execution(tuple(events)))
+    return results
+
+
+def is_p2p_execution(e: Execution) -> bool:
+    """FIFO validity, phrased on the MSC partial order.
+
+    For any two same-channel sends s1 ≺ s2: s2 is unmatched, or both are
+    matched and the receives are ordered r1 ≺ r2.
+    """
+    m = msc_of_execution(e)
+    match_of = dict(m.matching)
+    per_channel: dict[tuple[str, str], list] = {}
+    for p, evs in m.events:
+        for i, (is_send, peer, _) in enumerate(evs):
+            if is_send:
+                per_channel.setdefault((p, peer), []).append((p, i))
+    for sends in per_channel.values():
+        # same-channel sends share their process, and same-channel receives
+        # theirs: on one process the MSC order is the per-process index order
+        sends.sort(key=lambda node: node[1])
+        for s1, s2 in itertools.combinations(sends, 2):
+            if s2 not in match_of:
+                continue
+            if s1 not in match_of:
+                return False
+            if match_of[s1][1] > match_of[s2][1]:
+                return False
+    return True
+
+
+def is_p2p_execution_by_sequence(e: Execution) -> bool:
+    """FIFO validity checked directly on the event sequence order."""
+    recv_of = {ev.match: i for i, ev in enumerate(e.events) if not ev.is_send}
+    per_channel: dict[tuple[str, str], list[int]] = {}
+    for i, ev in enumerate(e.events):
+        if ev.is_send:
+            per_channel.setdefault((ev.sender, ev.receiver), []).append(i)
+    for sends in per_channel.values():
+        for s1, s2 in itertools.combinations(sends, 2):
+            if s2 not in recv_of:
+                continue
+            if s1 not in recv_of or recv_of[s1] > recv_of[s2]:
+                return False
+    return True
+
+
+@dataclass
+class CausalClosureReport:
+    checked_mscs: int
+    checked_linearisations: int
+    violations: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_causal_closure(system: System, bound: int,
+                         max_events: int = 8) -> CausalClosureReport:
+    """Every explored p2p MSC must be FIFO, and so must every linearisation.
+
+    The MSC-level predicate is the same for all linearisations of one MSC,
+    so it runs once per MSC; each linearisation is checked on its event
+    sequence.
+    """
+    mscs, _ = p2p_mscs(system, bound, max_events)
+    violations = []
+    n_lins = 0
+    for m, e in mscs.items():
+        if not is_p2p_execution(e):
+            violations.append((m, e))
+        for lin in linearisations_p2p(m, limit=max_events):
+            n_lins += 1
+            if not is_p2p_execution_by_sequence(lin):
+                violations.append((m, lin))
+    return CausalClosureReport(len(mscs), n_lins, violations)
+
+
+@dataclass
+class CrossModelReport:
+    checked: int
+    p2p_realisable: int
+    violations: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def cross_model_property_test(pairs, bound: int = 2,
+                              max_events: int = 6) -> CrossModelReport:
+    """p2p-realisable (all four conditions hold) must imply synch-realisable.
+
+    `pairs` is an iterable of (global type, verified complement).
+    """
+    checked = confirmed = 0
+    violations = []
+    for g, gbar in pairs:
+        checked += 1
+        verdict = check_p2p_realisable(g, gbar, bound, max_events)
+        if verdict.overall is Status.HOLDS:
+            confirmed += 1
+            if not verdict.synch.realisable:
+                violations.append((g, verdict))
+    return CrossModelReport(checked, confirmed, violations)

@@ -1,5 +1,10 @@
 """Deadlock-free realisability: exact in the synchronous model, bounded
-semi-decision in the p2p model via the four-condition reduction."""
+semi-decision in the p2p model via the four-condition reduction.
+
+The p2p check explores the projected system's MSCs once, within a channel
+bound and an event budget, and its configurations once, within the bound.
+The brute-force counterparts it is tested against are in `oracle.py`.
+"""
 
 from __future__ import annotations
 
@@ -52,12 +57,6 @@ def _all_coaccessible(nfa) -> tuple[bool, str | None]:
     return True, None
 
 
-def accept_completion(g: GlobalType) -> GlobalType:
-    """Prefix-accepting variant: trim, then mark every state accepting."""
-    return g.with_automaton(automata.prefix_closure(g.automaton),
-                            f"accept-completion({g.name})" if g.name else "")
-
-
 class Status(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"
@@ -93,21 +92,21 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
                          max_events: int = 8) -> P2pVerdict:
     """The four-condition reduction to synchronous realisability.
 
-    Conditions 1-3 are checked by bounded-channel exploration and may come
-    back `unknown` when the bound was hit; condition 4 is exact.
+    Conditions 1-3 come from one bounded-channel exploration and read
+    `unknown` when it was cut short; condition 4 is exact.
 
-    Condition 3 asks that each completion MSC be a prefix of an MSC of g,
-    which within one bound and budget is membership in g's explored set: it
-    holds every bounded execution's MSC, prefixes included, and a completion
-    execution whose MSC is such a prefix follows, per process, a run of g's
-    deterministic CFSMs with the same channel contents, so it is one of g's.
+    Condition 3 asks that each MSC of g's accept-completion (g trimmed, with
+    every state accepting) be a prefix of an MSC of g.  Within a bound and
+    budget it cannot fail: completion executions are g's, with the same
+    channel contents, so a send blocked or a step cut in the completion is
+    blocked or cut in g too.
     """
     # first, so that a declaration mismatch is raised before any exploration
     synch = check_sync_realisable(g, gbar)
     system = project(g)
     mscs, bound_hit = p2p_mscs(system, bound, max_events)
 
-    cond1 = Condition(Status.UNKNOWN if bound_hit else Status.HOLDS)
+    cond1 = cond3 = Condition(Status.UNKNOWN if bound_hit else Status.HOLDS)
     for m in mscs:
         ok, _ = is_rsc_schedulable(m)
         if not ok:
@@ -120,14 +119,6 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     else:
         cond2 = Condition(Status.UNKNOWN if report.bound_hit else Status.HOLDS)
 
-    completed = project(accept_completion(g))
-    comp_mscs, comp_bound_hit = p2p_mscs(completed, bound, max_events)
-    cond3 = Condition(Status.UNKNOWN if (bound_hit or comp_bound_hit) else Status.HOLDS)
-    for m in comp_mscs:
-        if m not in mscs:
-            cond3 = Condition(Status.FAILS, m)
-            break
-
     if synch.realisable:
         cond4 = Condition(Status.HOLDS)
     elif not synch.cc_holds:
@@ -136,32 +127,3 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
         cond4 = Condition(Status.FAILS, synch.deadlock_witness)
 
     return P2pVerdict(cond1, cond2, cond3, cond4, synch)
-
-
-@dataclass
-class CrossModelReport:
-    checked: int
-    p2p_realisable: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def cross_model_property_test(pairs, bound: int = 2,
-                              max_events: int = 6) -> CrossModelReport:
-    """p2p-realisable (all four conditions hold) must imply synch-realisable.
-
-    `pairs` is an iterable of (global type, verified complement).
-    """
-    checked = confirmed = 0
-    violations = []
-    for g, gbar in pairs:
-        checked += 1
-        verdict = check_p2p_realisable(g, gbar, bound, max_events)
-        if verdict.overall is Status.HOLDS:
-            confirmed += 1
-            if not verdict.synch.realisable:
-                violations.append((g, verdict))
-    return CrossModelReport(checked, confirmed, violations)

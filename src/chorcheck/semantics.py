@@ -9,13 +9,12 @@ exploration a semi-decision).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import Dfa
-from .trace import Declaration, SizeLimitError
+from .trace import Declaration
 
 
 class ExecutionError(ValueError):
@@ -251,142 +250,36 @@ def msc_of_execution(e: Execution) -> P2pMsc:
     return P2pMsc(events, matching)
 
 
-def _topological_orders(preds: dict, done: tuple = ()):
-    """Every order of the nodes of `preds` that puts each after its predecessors."""
-    if len(done) == len(preds):
-        yield done
-    for node, before in preds.items():
-        if node not in done and all(b in done for b in before):
-            yield from _topological_orders(preds, done + (node,))
-
-
-def linearisations_p2p(m: P2pMsc, limit: int = 10) -> list[Execution]:
-    """All linear extensions of the MSC partial order, as executions."""
-    if len(m) > limit:
-        raise SizeLimitError(f"MSC has {len(m)} events, limit is {limit}")
-    send_of = {r: s for s, r in m.matching}
-    results = []
-    for topo in _topological_orders(m.predecessors):
-        index = {node: k for k, node in enumerate(topo)}
-        events = []
-        for node in topo:
-            is_send, peer, message = m.label(node)
-            p = node[0]
-            if is_send:
-                events.append(Event(True, p, peer, message))
-            else:
-                events.append(Event(False, peer, p, message, match=index[send_of[node]]))
-        results.append(Execution(tuple(events)))
-    return results
-
-
-def is_p2p_execution(e: Execution) -> bool:
-    """FIFO validity, phrased on the MSC partial order.
-
-    For any two same-channel sends s1 ≺ s2: s2 is unmatched, or both are
-    matched and the receives are ordered r1 ≺ r2.
-    """
-    m = msc_of_execution(e)
-    match_of = dict(m.matching)
-    per_channel: dict[tuple[str, str], list] = {}
-    for p, evs in m.events:
-        for i, (is_send, peer, _) in enumerate(evs):
-            if is_send:
-                per_channel.setdefault((p, peer), []).append((p, i))
-    for sends in per_channel.values():
-        # same-channel sends share their process, and same-channel receives
-        # theirs: on one process the MSC order is the per-process index order
-        sends.sort(key=lambda node: node[1])
-        for s1, s2 in itertools.combinations(sends, 2):
-            if s2 not in match_of:
-                continue
-            if s1 not in match_of:
-                return False
-            if match_of[s1][1] > match_of[s2][1]:
-                return False
-    return True
-
-
-def is_p2p_execution_by_sequence(e: Execution) -> bool:
-    """FIFO validity checked directly on the event sequence order."""
-    recv_of = {ev.match: i for i, ev in enumerate(e.events) if not ev.is_send}
-    per_channel: dict[tuple[str, str], list[int]] = {}
-    for i, ev in enumerate(e.events):
-        if ev.is_send:
-            per_channel.setdefault((ev.sender, ev.receiver), []).append(i)
-    for sends in per_channel.values():
-        for s1, s2 in itertools.combinations(sends, 2):
-            if s2 not in recv_of:
-                continue
-            if s1 not in recv_of or recv_of[s1] > recv_of[s2]:
-                return False
-    return True
-
-
 def is_rsc_schedulable(m: P2pMsc) -> tuple[bool, Execution | None]:
     """Can every receive be scheduled immediately after its send?
 
     Matched pairs are scheduled as atomic blocks, unmatched sends as unit
-    blocks; backtracking over order-minimal blocks.  True exactly when the
-    MSC is a prefix of a synchronous MSC.
+    blocks.  The MSC is RSC exactly when the order between blocks is
+    acyclic (Charron-Bost, Mattern and Tel 1996), so any ready block can go
+    next: the first one is taken until every block is scheduled or none is
+    ready.  True exactly when the MSC is a prefix of a synchronous MSC.
     """
     match_of = dict(m.matching)  # send -> recv
     preds = m.predecessors
-    blocks = [(node, match_of.get(node)) for node in preds if m.label(node)[0]]
-
-    def ready(block, done):
-        members = {block[0]} | ({block[1]} if block[1] else set())
-        for node in members:
-            if any(p not in done and p not in members for p in preds[node]):
-                return False
-        return True
-
+    remaining = [(node, match_of.get(node)) for node in preds if m.label(node)[0]]
+    done = set()
     schedule: list[Event] = []
-
-    def rec(done, remaining):
-        if not remaining:
-            return True
-        for block in list(remaining):
-            if ready(block, done):
-                send, recv = block
-                p, _ = send
-                _, peer, message = m.label(send)
-                n_before = len(schedule)
-                schedule.append(Event(True, p, peer, message))
-                if recv is not None:
-                    schedule.append(Event(False, p, recv[0], message, match=n_before))
-                members = {send} | ({recv} if recv else set())
-                if rec(done | members, remaining - {block}):
-                    return True
-                del schedule[n_before:]
-        return False
-
-    if rec(frozenset(), frozenset(blocks)):
-        return True, Execution(tuple(schedule))
-    return False, None
-
-
-def is_msc_prefix(prefix: P2pMsc, m: P2pMsc) -> bool:
-    """Is `prefix` the MSC of a prefix of some linearisation of `m`?
-
-    Requires: per-process label sequences are prefixes, the selected event
-    set is downward closed in `m`'s order, and the matchings agree on the
-    receives kept.
-    """
-    full = m._labels
-    for p, evs in prefix.events:
-        if p not in full and evs:
-            return False
-        if p in full and tuple(full[p][: len(evs)]) != tuple(evs):
-            return False
-    kept = {(p, i) for p, evs in prefix.events for i in range(len(evs))}
-    # downward closure in m's order
-    for node in kept:
-        for pred in m.predecessors[node]:
-            if pred not in kept:
-                return False
-    expected = frozenset((s, r) for s, r in m.matching if r in kept)
-    return expected == prefix.matching
+    while remaining:
+        for k, (send, recv) in enumerate(remaining):
+            members = (send,) if recv is None else (send, recv)
+            if all(pred in done or pred in members
+                   for node in members for pred in preds[node]):
+                break
+        else:
+            return False, None
+        del remaining[k]
+        p, _ = send
+        _, peer, message = m.label(send)
+        schedule.append(Event(True, p, peer, message))
+        if recv is not None:
+            schedule.append(Event(False, p, recv[0], message, match=len(schedule) - 1))
+        done.update(members)
+    return True, Execution(tuple(schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +388,10 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     bound_hit).  The search is memoised on (configuration, MSC): two
     interleavings of the same behaviour are explored once.
     """
+    if bound < 1:
+        raise ValueError("channel bound must be >= 1")
+    if max_events < 0:
+        raise ValueError("event budget must be >= 0")
     keys, init, steps = _successors(system, bound)
     mscs = {}
     bound_hit = False
@@ -531,35 +428,3 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
 
     rec(init, tuple(() for _ in keys), [])
     return mscs, bound_hit
-
-
-@dataclass
-class CausalClosureReport:
-    checked_mscs: int
-    checked_linearisations: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_causal_closure(system: System, bound: int,
-                         max_events: int = 8) -> CausalClosureReport:
-    """Every explored p2p MSC must be FIFO, and so must every linearisation.
-
-    The MSC-level predicate is the same for all linearisations of one MSC,
-    so it runs once per MSC; each linearisation is checked on its event
-    sequence.
-    """
-    mscs, _ = p2p_mscs(system, bound, max_events)
-    violations = []
-    n_lins = 0
-    for m, e in mscs.items():
-        if not is_p2p_execution(e):
-            violations.append((m, e))
-        for lin in linearisations_p2p(m, limit=max_events):
-            n_lins += 1
-            if not is_p2p_execution_by_sequence(lin):
-                violations.append((m, lin))
-    return CausalClosureReport(len(mscs), n_lins, violations)

@@ -17,20 +17,18 @@ from chorcheck.gtype import (choices, gt_product, is_commutation_closed,
                              is_commutation_deterministic, member_existential,
                              member_existential_via_next, project,
                              sync_product)
-from chorcheck.oracle import (bounded_existential, count_profile_check,
-                              enumerate_canonical, member_existential_oracle,
-                              swap_closure_oracle)
+from chorcheck.oracle import (bounded_existential, check_causal_closure,
+                              count_profile_check, cross_model_property_test,
+                              enumerate_canonical, is_p2p_execution,
+                              is_p2p_execution_by_sequence,
+                              member_existential_oracle, swap_closure_oracle)
 from chorcheck.randomgen import (random_commutation_closed,
                                  random_commutation_deterministic,
                                  random_declaration, random_global_type,
                                  random_three_process_deterministic)
 from chorcheck.realisability import (Status, check_p2p_realisable,
-                                     check_sync_realisable,
-                                     cross_model_property_test)
-from chorcheck.semantics import (Event, Execution, check_causal_closure,
-                                 is_p2p_execution,
-                                 is_p2p_execution_by_sequence,
-                                 is_rsc_schedulable)
+                                     check_sync_realisable)
+from chorcheck.semantics import Event, Execution, is_rsc_schedulable
 from chorcheck.trace import (Arrow, msc_of, next_arrow, next_msc, parse_arrow)
 
 

@@ -2,18 +2,18 @@ import random
 
 import pytest
 
+from chorcheck import automata
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian)
 from chorcheck.gtype import (DeclarationMismatchError, member_existential,
                              project, sync_product)
-from chorcheck.oracle import member_existential_oracle
+from chorcheck.oracle import (bounded_existential, cross_model_property_test,
+                              linearisations_p2p, member_existential_oracle)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
-from chorcheck.realisability import (Status, accept_completion,
-                                     check_p2p_realisable,
-                                     check_sync_realisable,
-                                     cross_model_property_test)
-from chorcheck.semantics import is_msc_prefix, p2p_mscs
+from chorcheck.realisability import (Status, check_p2p_realisable,
+                                     check_sync_realisable)
+from chorcheck.semantics import Execution, msc_of_execution, p2p_mscs
 from chorcheck.trace import msc_of
 
 
@@ -64,9 +64,8 @@ def test_declaration_mismatch(real, g0):
 
 
 def test_accept_completion_is_prefix_closure(real):
-    from chorcheck.oracle import bounded_existential
-
-    comp = accept_completion(real)
+    # the accept-completion of g is g's automaton closed under prefixes
+    comp = real.with_automaton(automata.prefix_closure(real.automaton))
     lang = bounded_existential(comp, 4)
     full = bounded_existential(real, 4)
     for m in full:
@@ -74,9 +73,15 @@ def test_accept_completion_is_prefix_closure(real):
             assert msc_of(m.word[:k], real.declaration) in lang
 
 
+def msc_prefixes(m):
+    """Brute force: the MSCs of every prefix of every linearisation of m."""
+    return {msc_of_execution(Execution(lin.events[:k]))
+            for lin in linearisations_p2p(m) for k in range(len(m) + 1)}
+
+
 def test_membership_in_explored_mscs_matches_prefix_search():
-    # condition 3 tests membership in g's explored MSCs; the reference is the
-    # all-pairs prefix search.  h ranges over unrelated types on g's
+    # the explored MSC set is prefix closed, so membership in it agrees with
+    # the all-pairs prefix search.  h ranges over unrelated types on g's
     # declaration, so both answers occur.
     outcomes = set()
     for seed in range(40):
@@ -87,11 +92,36 @@ def test_membership_in_explored_mscs_matches_prefix_search():
         h = random_global_type(rng, decl, 3, deterministic=det)
         mscs_g, _ = p2p_mscs(project(g), bound, 5)
         mscs_h, _ = p2p_mscs(project(h), bound, 5)
+        prefixes_g = set().union(*map(msc_prefixes, mscs_g))
         for m in mscs_h:
             inside = m in mscs_g
-            assert inside == any(is_msc_prefix(m, big) for big in mscs_g), (seed, str(m))
+            assert inside == (m in prefixes_g), (seed, str(m))
             outcomes.add(inside)
     assert outcomes == {True, False}
+
+
+def test_completion_mscs_are_explored_mscs_of_g():
+    # condition 3 is read off g's exploration alone: every bounded MSC of the
+    # accept-completion is one of g's, and cutting the completion's
+    # exploration short means g's was cut short too
+    trimmed = 0
+    for seed in range(36):
+        rng = random.Random(seed)
+        kind = seed % 3
+        if kind == 0:
+            g = random_commutation_deterministic(rng, max_states=4, max_arrows=3)
+        else:
+            decl = random_declaration(rng, 3, 2, 4)
+            g = random_global_type(rng, decl, 4, deterministic=kind == 1)
+        completion = g.with_automaton(automata.prefix_closure(g.automaton))
+        trimmed += completion.automaton.n_states < g.automaton.n_states
+        bound, budget = 1 + seed % 3, 5 + seed % 2
+        mscs_g, hit_g = p2p_mscs(project(g), bound, budget)
+        mscs_c, hit_c = p2p_mscs(project(completion), bound, budget)
+        for m in mscs_c:
+            assert m in mscs_g, (seed, str(m))
+        assert hit_g or not hit_c, seed
+    assert trimmed
 
 
 def test_p2p_real_holds(real):
@@ -122,6 +152,11 @@ def test_p2p_unknown_when_bound_hit(single):
     v = check_p2p_realisable(single, gbar(single), bound=1, max_events=1)
     assert v.cond1_rsc.status is Status.UNKNOWN
     assert v.overall is Status.UNKNOWN
+
+
+def test_p2p_rejects_bad_bound(real):
+    with pytest.raises(ValueError):
+        check_p2p_realisable(real, gbar(real), bound=0)
 
 
 def test_cross_model_property(fixture_suite):

@@ -30,3 +30,13 @@ def test_complement_audit_bounds():
     r = run_audit("--count", "2", "--max-events", "3")
     assert r.returncode == 0
     assert "2 passed, 0 failed" in r.stdout
+
+
+def test_corpus_digest_requires_hash_seed_zero():
+    script = str(REPO / "scripts" / "corpus_digest.py")
+    for seed in ("1", "random"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        r = subprocess.run([sys.executable, script], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 2, seed
+        assert r.stderr.startswith("error:") and not r.stdout

@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-from chorcheck import semantics
+from chorcheck import oracle
 from chorcheck.gtype import project
+from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
+                              is_p2p_execution_by_sequence, linearisations_p2p)
+from chorcheck.randomgen import (random_commutation_deterministic,
+                                 random_declaration, random_global_type)
 from chorcheck.semantics import (Event, Execution, ExecutionError,
-                                 check_causal_closure, is_msc_prefix,
-                                 is_p2p_execution, is_p2p_execution_by_sequence,
-                                 is_rsc_schedulable, linearisations_p2p,
-                                 local_alphabet, msc_of_execution, p2p_explore,
-                                 p2p_mscs, recv_action, send_action,
-                                 sync_explore)
+                                 is_rsc_schedulable, local_alphabet,
+                                 msc_of_execution, p2p_explore, p2p_mscs,
+                                 recv_action, send_action, sync_explore)
 
 
 def s(p, q, m):
@@ -147,16 +148,33 @@ def test_rsc_schedulable():
     assert not ok and schedule is None
 
 
-def test_is_msc_prefix():
-    full = msc_of_execution(Execution((s("p", "q", "m"), r("p", "q", "m", 0),
-                                       s("q", "p", "n"), r("q", "p", "n", 2))))
-    pre = msc_of_execution(Execution((s("p", "q", "m"), r("p", "q", "m", 0))))
-    assert is_msc_prefix(pre, full)
-    assert is_msc_prefix(full, full)
-    assert not is_msc_prefix(full, pre)
-    # keeping the send but dropping its receive changes the matching
-    orphan = msc_of_execution(Execution((s("q", "p", "n"),)))
-    assert not is_msc_prefix(orphan, full)
+def _seeded_types():
+    for seed in range(20):
+        rng = random.Random(seed)
+        if seed % 2:
+            decl = random_declaration(rng, 3, 2, 3)
+            yield random_global_type(rng, decl, 3, deterministic=seed % 4 == 1)
+        else:
+            yield random_commutation_deterministic(rng, max_states=4, max_arrows=3)
+
+
+def test_rsc_schedulable_brute_force(fixture_suite):
+    # RSC means some linearisation puts each receive right after its send
+    answers = set()
+    for g in [*fixture_suite.values(), *_seeded_types()]:
+        mscs, _ = p2p_mscs(project(g), 2, 6)
+        for m in mscs:
+            ok, schedule = is_rsc_schedulable(m)
+            expected = any(all(ev.is_send or ev.match == k - 1
+                               for k, ev in enumerate(lin.events))
+                           for lin in linearisations_p2p(m))
+            assert ok == expected, (g.name, str(m))
+            if ok:
+                assert msc_of_execution(schedule) == m, (g.name, str(m))
+            else:
+                assert schedule is None
+            answers.add(ok)
+    assert answers == {True, False}
 
 
 def test_p2p_explore_real(real):
@@ -178,6 +196,13 @@ def test_p2p_explore_bound_validation(real):
         p2p_explore(project(real), 0)
 
 
+def test_p2p_mscs_bound_validation(real):
+    with pytest.raises(ValueError):
+        p2p_mscs(project(real), 0, 8)
+    with pytest.raises(ValueError):
+        p2p_mscs(project(real), 2, -1)
+
+
 def test_p2p_mscs_cross(cross):
     mscs, bound_hit = p2p_mscs(project(cross), 2, 6)
     assert not bound_hit
@@ -197,7 +222,7 @@ def test_causal_closure_reports_non_fifo_msc(real, monkeypatch):
     e = Execution((s("p", "q", "a"), s("p", "q", "a"),
                    r("p", "q", "a", 1), r("p", "q", "a", 0)))
     m = msc_of_execution(e)
-    monkeypatch.setattr(semantics, "p2p_mscs", lambda *args: ({m: e}, False))
+    monkeypatch.setattr(oracle, "p2p_mscs", lambda *args: ({m: e}, False))
     report = check_causal_closure(project(real), 2, 6)
     assert not report.passed
     assert report.checked_mscs == 1
