@@ -307,8 +307,8 @@ def _successors(system: System, bound: int):
     p2p semantics with per-channel capacity `bound`.
 
     The successor function maps a configuration to its enabled steps
-    (action, channel index, next configuration), in `delta` order per
-    process, and to whether the channel bound blocked a send.
+    (action, channel index, next configuration), per process in its CFSM's
+    alphabet order, and to whether the channel bound blocked a send.
     """
     decl = system.declaration
     keys = tuple((p, q) for p in decl.processes for q in decl.processes if p != q)
@@ -317,8 +317,10 @@ def _successors(system: System, bound: int):
                             tuple(() for _ in keys))
     outgoing: dict[tuple[int, int], list] = {}  # (process index, state) -> [(action, target)]
     for i, cfsm in enumerate(system.cfsms):
-        for (src, act), dst in cfsm.automaton.delta.items():
-            outgoing.setdefault((i, src), []).append((act, dst))
+        d = cfsm.automaton
+        for src in range(d.n_states):
+            outgoing[(i, src)] = [(act, d.delta[(src, act)]) for act in d.alphabet
+                                  if (src, act) in d.delta]
 
     def steps(cfg: P2pConfiguration):
         enabled = []

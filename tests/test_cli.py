@@ -278,3 +278,25 @@ def test_cli_import_loads_no_third_party_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_p2p_output_does_not_depend_on_hash_seed(tmp_path):
+    # the p2p exploration takes each state's steps in alphabet order, so the
+    # deadlock list and the reported non-RSC MSC do not follow set iteration
+    deadlock = str(FIXTURE_DIR / "deadlock.gt")
+    comp = tmp_path / "deadlock.complement.gt"
+    assert main(["complement", deadlock, "--method", "auto", "-o", str(comp)]) == 0
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    for argv in (["simulate", deadlock, "--json"],
+                 ["realisable", deadlock, "--model", "p2p", "--complement",
+                  str(comp), "--json"]):
+        outputs = set()
+        for seed in "0123":
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            r = subprocess.run([sys.executable, "-m", "chorcheck.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=60)
+            assert r.returncode == 1, (argv, seed, r.stderr)
+            outputs.add(r.stdout)
+        assert len(outputs) == 1, argv
