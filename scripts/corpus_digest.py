@@ -1,12 +1,20 @@
-"""Digests of the CLI's output on the p2p corpus.
+"""Digests of the CLI's output on the benchmark corpora.
 
-Runs `chorcheck.cli.main` in-process on every p2p entry of
-`bench/data/recorded.json` (which it only reads) with three commands, and
-prints one line per command: the number of runs and a sha256 over their
-stdout and exit codes.  Two checkouts that print the same digests gave
-byte-identical output.  Some outputs follow set iteration order, so the
-digests are reproducible only under PYTHONHASHSEED=0; any other setting
-is refused with exit code 2.
+Runs `chorcheck.cli.main` in-process on every entry of
+`bench/data/recorded.json` (which it only reads) and prints one line per
+command: the number of runs and a sha256 over their stdout, exit codes and
+any file written with `-o`.  Two checkouts that print the same digests
+gave byte-identical output.  The commands are:
+
+- p2p: `realisable --model p2p` and `--model synch` (with the entry's
+  complement) and `simulate`;
+- closure: `classify` and `complement --method auto`;
+- complement-law: `complement --method auto -o`, then
+  `verify-complement --max-events 6` on the file written, and the `member`
+  queries against `member_types` (`--universal` too where the entry asks).
+
+Some outputs follow set iteration order, so the digests are reproducible
+only under PYTHONHASHSEED=0; any other setting is refused with exit code 2.
 
     PYTHONHASHSEED=0 PYTHONPATH=src python scripts/corpus_digest.py
 """
@@ -25,11 +33,33 @@ from pathlib import Path
 RECORDED = Path(__file__).resolve().parent.parent / "bench" / "data" / "recorded.json"
 
 # (command, options); `realisable` also gets the entry's complement
-COMMANDS = (
+P2P_COMMANDS = (
     ("realisable", ("--model", "p2p", "--bound", "2", "--max-events", "8", "--json")),
     ("realisable", ("--model", "synch", "--json")),
     ("simulate", ("--bound", "2", "--max-events", "8", "--json")),
 )
+CLOSURE_COMMANDS = (
+    ("classify", ("--json",)),
+    ("complement", ("--method", "auto", "--json")),
+)
+LAW_MAX_EVENTS = "6"
+
+
+def digest_line(label: str, runs: list[tuple[list[str], Path | None]]) -> str:
+    """Run each argv and digest its exit code, stdout and the file it wrote
+    (when one is named)."""
+    from chorcheck import cli
+
+    digest = hashlib.sha256()
+    for argv, written in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        text = out.getvalue()
+        if written is not None:
+            text += written.read_text() if written.exists() else "<no file>"
+        digest.update(f"{code} {len(text)}\n{text}".encode())
+    return f"{label}: {len(runs)} runs, sha256 {digest.hexdigest()}"
 
 
 def main() -> int:
@@ -37,29 +67,52 @@ def main() -> int:
         print("error: run with PYTHONHASHSEED=0, or the digests depend on the "
               "hash seed", file=sys.stderr)
         return 2
-    from chorcheck import cli
 
-    entries = json.loads(RECORDED.read_text())["p2p"]
+    recorded = json.loads(RECORDED.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        files = []
-        for i, entry in enumerate(entries):
-            gt, comp = Path(tmp, f"{i}.gt"), Path(tmp, f"{i}.complement.gt")
-            gt.write_text(entry["gt"])
-            comp.write_text(entry["complement"])
-            files.append((str(gt), str(comp)))
-        for command, options in COMMANDS:
-            digest = hashlib.sha256()
-            for gt, comp in files:
+        def write(name: str, text: str) -> str:
+            path = Path(tmp, f"{name}.gt")
+            path.write_text(text)
+            return str(path)
+
+        p2p = [(write(f"p2p{i}", e["gt"]), write(f"p2p{i}.complement", e["complement"]))
+               for i, e in enumerate(recorded["p2p"])]
+        for command, options in P2P_COMMANDS:
+            runs = []
+            for gt, comp in p2p:
                 argv = [command, gt, *options]
                 if command == "realisable":
                     argv += ["--complement", comp]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(argv)
-                text = out.getvalue()
-                digest.update(f"{code} {len(text)}\n{text}".encode())
-            print(f"{command} {' '.join(options)}: {len(files)} runs, "
-                  f"sha256 {digest.hexdigest()}")
+                runs.append((argv, None))
+            print(digest_line(f"{command} {' '.join(options)}", runs))
+
+        closure = [write(f"abs{i}", e["gt"]) for i, e in enumerate(recorded["closure"])]
+        for command, options in CLOSURE_COMMANDS:
+            print(digest_line(f"closure {command} {' '.join(options)}",
+                              [([command, gt, *options], None) for gt in closure]))
+
+        law = [(write(f"law{i}", e["gt"]), Path(tmp, f"law{i}.complement.gt"))
+               for i, e in enumerate(recorded["complement-law"]) if "gt" in e]
+        print(digest_line("complement-law complement --method auto -o --json", [
+            (["complement", gt, "--method", "auto", "-o", str(comp), "--json"], comp)
+            for gt, comp in law]))
+        print(digest_line(f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} "
+                          "--json", [
+            (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS,
+              "--json"], None) for gt, comp in law]))
+
+        types = {(name, side): write(f"{name}.{side}", entry[side])
+                 for name, entry in recorded["member_types"].items()
+                 for side in ("gt", "complement")}
+        runs = []
+        for e in recorded["complement-law"]:
+            if "gt" in e:
+                continue
+            for side in ("gt", "complement"):
+                for universal in ((False, True) if e["universal"] else (False,)):
+                    argv = ["member", types[(e["type"], side)], "--msc", e["msc"], "--json"]
+                    runs.append((argv + ["--universal"] * universal, None))
+        print(digest_line("complement-law member --json", runs))
     return 0
 
 
