@@ -178,6 +178,30 @@ def eps_eliminate(a: Nfa) -> Nfa:
                frozenset(accepting), a.names)
 
 
+def _explore(starts, successors) -> tuple[list, dict, list]:
+    """Number the nodes reachable from `starts` in breadth-first discovery
+    order; `successors(node)` yields (letter, node) pairs.
+
+    Returns the nodes in order, the node -> index map and the transitions
+    as (index, letter, index) triples, in the order they were followed.
+    """
+    index: dict = {}
+    order: list = []
+    for node in starts:
+        if node not in index:
+            index[node] = len(order)
+            order.append(node)
+    transitions = []
+    for i, node in enumerate(order):  # `order` grows behind the scan: a FIFO queue
+        for x, nxt in successors(node):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(order)
+                order.append(nxt)
+            transitions.append((i, x, j))
+    return order, index, transitions
+
+
 def determinise(a: Nfa) -> Dfa:
     """Reachable-subset construction; never materialises the full powerset.
 
@@ -191,48 +215,25 @@ def determinise(a: Nfa) -> Dfa:
 
 
 def _subset_construction(a: Nfa) -> Dfa:
-    start = a.eps_closure(a.initial)
-    index = {start: 0}
-    order = [start]
-    transitions = set()
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
+    def successors(subset):
         for x in a.alphabet:
             nxt = a.step(subset, x)
-            if not nxt:
-                continue
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions.add((index[subset], x, index[nxt]))
-    accepting = frozenset(i for subset, i in index.items() if subset & a.accepting)
+            if nxt:
+                yield x, nxt
+
+    order, _, transitions = _explore([a.eps_closure(a.initial)], successors)
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
     names = tuple("{" + ",".join(sorted(a.state_name(s) for s in subset)) + "}"
                   for subset in order)
-    return Dfa(a.alphabet, len(order), 0, frozenset(transitions), accepting, names)
+    return Dfa(a.alphabet, len(order), 0, transitions, accepting, names)
 
 
 def _determinise_deterministic(a: Nfa, delta: dict) -> Dfa:
-    (start,) = a.initial
-    index = {start: 0}
-    order = [start]
-    transitions = []
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for x in a.alphabet:
-            t = delta.get((s, x))
-            if t is None:
-                continue
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            transitions.append((index[s], x, index[t]))
-    accepting = frozenset(i for s, i in index.items() if s in a.accepting)
+    order, _, transitions = _explore(a.initial, lambda s: (
+        (x, delta[(s, x)]) for x in a.alphabet if (s, x) in delta))
+    accepting = frozenset(i for i, s in enumerate(order) if s in a.accepting)
     names = tuple("{" + a.state_name(s) + "}" for s in order)
-    return Dfa(a.alphabet, len(order), 0, frozenset(transitions), accepting, names)
+    return Dfa(a.alphabet, len(order), 0, transitions, accepting, names)
 
 
 def complete(d: Dfa) -> Dfa:
@@ -263,33 +264,23 @@ def product(a: Nfa, b: Nfa) -> Nfa:
         raise AlphabetMismatchError("product requires identical alphabets")
     a = eps_eliminate(a)
     b = eps_eliminate(b)
-    start = [(s, t) for s in a.initial for t in b.initial]
-    index = {}
-    order = []
-    for pair in start:
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-    transitions = set()
-    queue = deque(order)
-    while queue:
-        s, t = queue.popleft()
+
+    def successors(pair):
+        s, t = pair
         for x in a.alphabet:
             for s2 in a._step_map.get((s, x), ()):
                 for t2 in b._step_map.get((t, x), ()):
-                    pair = (s2, t2)
-                    if pair not in index:
-                        index[pair] = len(order)
-                        order.append(pair)
-                        queue.append(pair)
-                    transitions.add((index[(s, t)], x, index[pair]))
+                    yield x, (s2, t2)
+
+    start = [(s, t) for s in a.initial for t in b.initial]
+    order, index, transitions = _explore(start, successors)
     if not order:  # one of the initial sets was empty
         return Nfa(a.alphabet, 1, frozenset(), frozenset(), frozenset())
-    accepting = frozenset(i for (s, t), i in index.items()
+    accepting = frozenset(i for i, (s, t) in enumerate(order)
                           if s in a.accepting and t in b.accepting)
     names = tuple(f"({a.state_name(s)},{b.state_name(t)})" for s, t in order)
     initial = frozenset(index[p] for p in start)
-    return Nfa(a.alphabet, len(order), initial, frozenset(transitions), accepting, names)
+    return Nfa(a.alphabet, len(order), initial, transitions, accepting, names)
 
 
 def _distances_to_accepting(a: Nfa) -> dict[int, int]:
@@ -339,33 +330,31 @@ def includes(a: Nfa, b: Nfa) -> tuple[bool, tuple | None]:
 
 def reachable(a: Nfa) -> set[int]:
     """States reachable from the initial set along any transitions."""
-    succs: dict[int, set[int]] = {}
-    for s, _, t in a.transitions:
-        succs.setdefault(s, set()).add(t)
-    reach = set(a.initial)
-    queue = deque(reach)
-    while queue:
-        s = queue.popleft()
-        for t in succs.get(s, ()):
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-    return reach
+    letters = (*a.alphabet, EPS)
+    order, _, _ = _explore(a.initial, lambda s: (
+        (x, t) for x in letters for t in a._step_map.get((s, x), ())))
+    return set(order)
 
 
-def trim(a: Nfa) -> Nfa:
-    """Restrict to accessible and co-accessible states."""
-    a = eps_eliminate(a)
-    keep = sorted(reachable(a) & set(_distances_to_accepting(a)))
-    if not keep:
-        return Nfa(a.alphabet, 1, frozenset({0}), frozenset(), frozenset(),
-                   ("dead",))
+def _restrict(a: Nfa, keep) -> Nfa:
+    """`a` on the states of `keep`, renumbered in increasing order."""
+    keep = sorted(keep)
     renum = {s: i for i, s in enumerate(keep)}
     transitions = frozenset((renum[s], x, renum[t]) for s, x, t in a.transitions
                             if s in renum and t in renum)
     names = tuple(a.state_name(s) for s in keep)
     return Nfa(a.alphabet, len(keep), frozenset(renum[s] for s in a.initial if s in renum),
                transitions, frozenset(renum[s] for s in a.accepting if s in renum), names)
+
+
+def trim(a: Nfa) -> Nfa:
+    """Restrict to accessible and co-accessible states."""
+    a = eps_eliminate(a)
+    keep = reachable(a) & set(_distances_to_accepting(a))
+    if not keep:
+        return Nfa(a.alphabet, 1, frozenset({0}), frozenset(), frozenset(),
+                   ("dead",))
+    return _restrict(a, keep)
 
 
 def prefix_closure(a: Nfa) -> Nfa:
@@ -391,16 +380,7 @@ def erase_letter(a: Nfa, x) -> Nfa:
 def minimise(d: Dfa) -> Dfa:
     """Minimal complete DFA for L(d) (Moore partition refinement)."""
     d = complete(d)
-    # drop unreachable states first
-    reach = {d.initial}
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for x in d.alphabet:
-            t = d.delta[(s, x)]
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
+    reach, _, _ = _explore([d.initial], lambda s: ((x, d.delta[(s, x)]) for x in d.alphabet))
     states = sorted(reach)
     block = {s: (s in d.accepting) for s in states}
     while True:
@@ -415,21 +395,11 @@ def minimise(d: Dfa) -> Dfa:
             break
         block = new_block
     # canonical numbering: BFS from the initial block, letters in order
-    renum = {block[d.initial]: 0}
-    order = [d.initial]
-    queue = deque([d.initial])
-    while queue:
-        s = queue.popleft()
-        for x in d.alphabet:
-            t = d.delta[(s, x)]
-            if block[t] not in renum:
-                renum[block[t]] = len(renum)
-                order.append(t)
-                queue.append(t)
-    transitions = frozenset((renum[block[s]], x, renum[block[d.delta[(s, x)]]])
-                            for s in states for x in d.alphabet)
-    accepting = frozenset(renum[block[s]] for s in states if s in d.accepting)
-    return Dfa(d.alphabet, len(renum), 0, transitions, accepting)
+    member = {block[s]: s for s in states}
+    blocks, _, transitions = _explore([block[d.initial]], lambda b: (
+        (x, block[d.delta[(member[b], x)]]) for x in d.alphabet))
+    accepting = frozenset(i for i, b in enumerate(blocks) if member[b] in d.accepting)
+    return Dfa(d.alphabet, len(blocks), 0, transitions, accepting)
 
 
 def _bfs_word(alphabet, start, step, goal) -> tuple | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Nfa, reachable
+from .automata import Nfa, _restrict, reachable
 from .gtype import (ClassificationError, GlobalType, choices, determinise_gt,
                     dual_gt, is_commutation_closed, is_commutation_deterministic,
                     is_deterministic, participant_count, project, sync_product)
@@ -139,21 +139,10 @@ def renunciation_unpruned_state_count(g: GlobalType) -> int:
     return len(_renunciation_states(g))
 
 
-def _prune(nfa: Nfa) -> Nfa:
-    """Keep only states reachable from the initial set."""
-    order = sorted(reachable(nfa))
-    renum = {s: i for i, s in enumerate(order)}
-    return Nfa(nfa.alphabet, len(order),
-               frozenset(renum[s] for s in nfa.initial),
-               frozenset((renum[s], x, renum[t]) for s, x, t in nfa.transitions
-                         if s in renum and t in renum),
-               frozenset(renum[s] for s in nfa.accepting if s in renum),
-               tuple(nfa.state_name(s) for s in order))
-
-
 def complement_renunciation(g: GlobalType) -> GlobalType:
     """Renunciation complement of a commutation-deterministic global type."""
-    pruned = _prune(renunciation_automaton(g))
+    a = renunciation_automaton(g)
+    pruned = _restrict(a, reachable(a))
     return GlobalType(g.declaration, pruned,
                       f"renunciation({g.name})" if g.name else "")
 

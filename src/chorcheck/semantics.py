@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Dfa
+from .automata import Dfa, _explore
 from .trace import Declaration
 
 
@@ -103,31 +103,26 @@ def sync_explore(system: System) -> SyncGraph:
     decl = system.declaration
     init = tuple(c.automaton.initial for c in system.cfsms)
     pidx = {p: i for i, p in enumerate(decl.processes)}
-    seen = {init}
-    edges = []
-    queue = deque([init])
-    while queue:
-        cfg = queue.popleft()
+
+    def successors(cfg):
         for arrow in decl.arrows:
             si, ri = pidx[arrow.sender], pidx[arrow.receiver]
             s2 = system.cfsms[si].automaton.dstep(
                 cfg[si], send_action(arrow.sender, arrow.receiver, arrow.message))
             r2 = system.cfsms[ri].automaton.dstep(
                 cfg[ri], recv_action(arrow.receiver, arrow.sender, arrow.message))
-            if s2 is None or r2 is None:
-                continue
-            nxt = list(cfg)
-            nxt[si], nxt[ri] = s2, r2
-            nxt = tuple(nxt)
-            edges.append((cfg, arrow, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            if s2 is not None and r2 is not None:
+                nxt = list(cfg)
+                nxt[si], nxt[ri] = s2, r2
+                yield arrow, tuple(nxt)
+
+    configs, _, transitions = _explore([init], successors)
     accepting = frozenset(
-        cfg for cfg in seen
+        cfg for cfg in configs
         if all(cfg[i] in c.automaton.accepting for i, c in enumerate(system.cfsms))
     )
-    return SyncGraph(tuple(sorted(seen)), init, tuple(edges), accepting)
+    edges = tuple((configs[i], arrow, configs[j]) for i, arrow, j in transitions)
+    return SyncGraph(tuple(sorted(configs)), init, edges, accepting)
 
 
 # ---------------------------------------------------------------------------
