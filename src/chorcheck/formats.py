@@ -236,17 +236,17 @@ def parse_gt(text: str) -> GlobalType:
         if arrow is None:
             arrow = built[(s, r, m)] = _build_arrow(p, s, r, m, tok, processes, messages)
         transitions.add((index[src[1]], arrow, index[dst[1]]))
-    used_arrows = set(built.values())
 
     if explicit_arrows is not None:
         alphabet = [_build_arrow(p, s, r, m, tok, processes, messages)
                     for s, r, m, tok in explicit_arrows]
-        missing = used_arrows - set(alphabet)
-        if missing:
-            raise ParseError(f"transition arrow {next(iter(missing))} missing "
-                             "from the declared arrow alphabet", 0, 0)
+        declared = set(alphabet)
+        for _, (s, r, m, tok), _ in transitions_raw:
+            if built[(s, r, m)] not in declared:
+                raise p.error(f"transition arrow {built[(s, r, m)]} missing "
+                              "from the declared arrow alphabet", tok)
     else:
-        alphabet = sorted(used_arrows, key=lambda a: (a.sender, a.receiver, a.message))
+        alphabet = sorted(built.values(), key=lambda a: (a.sender, a.receiver, a.message))
 
     decl = Declaration(tuple(processes), tuple(messages), tuple(alphabet))
     initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
@@ -267,7 +267,7 @@ def render_gt(g: GlobalType) -> str:
     lines.append("  processes: " + ", ".join(g.declaration.processes) + ";")
     lines.append("  messages: " + ", ".join(g.declaration.messages) + ";")
     lines.append("  arrows: " + ", ".join(str(a) for a in g.declaration.arrows) + ";")
-    names = [_safe_name(nfa.state_name(s), s) for s in range(nfa.n_states)]
+    names = _state_names(nfa)
     states = []
     for s in range(nfa.n_states):
         mark = ("*" if s in nfa.initial else "") + ("+" if s in nfa.accepting else "")
@@ -280,8 +280,23 @@ def render_gt(g: GlobalType) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _safe_name(name: str, index: int) -> str:
-    return name if re.fullmatch(IDENT, name) else f"n{index}"
+def _state_names(nfa: Nfa) -> list[str]:
+    """One distinct identifier per state: the state's own name when it is an
+    identifier that no earlier state kept, else a fresh `n<index>` (primed
+    until no state uses it)."""
+    own = [nfa.state_name(s) for s in range(nfa.n_states)]
+    taken = {name for name in own if re.fullmatch(IDENT, name)}
+    names, kept = [], set()
+    for s, name in enumerate(own):
+        if name in taken and name not in kept:
+            kept.add(name)
+        else:
+            name = f"n{s}"
+            while name in taken:
+                name += "'"
+            taken.add(name)
+        names.append(name)
+    return names
 
 
 def parse_cfsm(text: str) -> Cfsm:

@@ -1,19 +1,33 @@
 import pytest
 
-from chorcheck.complement import complement_renunciation
+from chorcheck.automata import Nfa, includes
+from chorcheck.complement import complement_dual, complement_renunciation
 from chorcheck.formats import (ParseError, parse_cfsm, parse_gt, parse_msc,
                                render_cfsm, render_dot, render_gt)
 from chorcheck.gtype import project
 from chorcheck.oracle import bounded_existential
-from chorcheck.trace import msc_of
+from chorcheck.trace import Arrow, msc_of
 
 from conftest import FIXTURE_DIR
 
 
-def test_parse_g0_file(g0):
-    parsed = parse_gt((FIXTURE_DIR / "g0.gt").read_text())
-    assert parsed.declaration == g0.declaration
-    assert bounded_existential(parsed, 5) == bounded_existential(g0, 5)
+def test_parse_g0_file():
+    g0 = parse_gt((FIXTURE_DIR / "g0.gt").read_text())
+    m1, m2, m3 = Arrow("p", "q", "m1"), Arrow("r", "s", "m2"), Arrow("p", "q", "m3")
+    assert g0.declaration.processes == ("p", "q", "r", "s")
+    assert set(g0.declaration.arrows) == {m1, m2, m3}
+    assert g0.automaton.names == ("q0", "q1", "sink")
+    # L = (m1+m2)*(m2+m3)*
+    assert g0.accepts((m2, m1, m3, m2)) and not g0.accepts((m3, m1))
+
+
+def test_fixture_files_render_byte_for_byte(fixture_suite):
+    # fixtures/*.gt are the one copy of the reference protocols: each parses
+    # to a type of its file's name that renders back to the same bytes
+    assert set(fixture_suite) == {p.stem for p in FIXTURE_DIR.glob("*.gt")}
+    for name, g in fixture_suite.items():
+        assert g.name == name
+        assert render_gt(g) == (FIXTURE_DIR / f"{name}.gt").read_text(), name
 
 
 def test_roundtrip_preserves_bounded_language(fixture_suite):
@@ -120,6 +134,46 @@ def test_explicit_arrow_alphabet():
       s0 -- p->q:m --> s0; }"""
     g = parse_gt(src)
     assert len(g.declaration.arrows) == 2  # n declared but unused
+
+
+def test_arrow_missing_from_alphabet_located_at_its_first_use():
+    src = """gtype t { processes: p, q; messages: m, n;
+      arrows: p->q:m;
+      states: s0*+, s1;
+      s0 -- p->q:m --> s1;
+      s1 -- q->p:n --> s0;
+      s0 -- q->p:n --> s0; }"""
+    with pytest.raises(ParseError) as exc:
+        parse_gt(src)
+    assert (exc.value.line, exc.value.column) == (5, 13)
+    assert "q->p:n missing from the declared arrow alphabet" in str(exc.value)
+
+
+def _same_language(g, h) -> bool:
+    return includes(g.automaton, h.automaton)[0] and includes(h.automaton, g.automaton)[0]
+
+
+def test_render_gives_colliding_state_names_fresh_ones():
+    # the dual's added sink state is named like the type's own `sink`
+    g = parse_gt("""gtype t { processes: p, q; messages: m;
+      states: a*, sink+;
+      a -- p->q:m --> sink; }""")
+    gbar = complement_dual(g)
+    text = render_gt(gbar)
+    assert "states: a*+, sink, n2+;" in text
+    assert _same_language(parse_gt(text), gbar)
+
+
+def test_render_fallback_names_avoid_kept_names(g_sd):
+    # renunciation state names like `(n7,p->q:m1)` are no identifiers, and
+    # their fallback `n<index>` must not repeat a kept name such as n7
+    a = g_sd.automaton
+    renamed = g_sd.with_automaton(Nfa(a.alphabet, a.n_states, a.initial, a.transitions,
+                                      a.accepting, ("n7", "n8", "n9", "n10")))
+    r = complement_renunciation(renamed)
+    back = parse_gt(render_gt(r))
+    assert len(set(back.automaton.names)) == back.automaton.n_states
+    assert _same_language(back, r)
 
 
 def test_cfsm_roundtrip(real):
