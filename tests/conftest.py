@@ -3,61 +3,81 @@ from pathlib import Path
 
 import pytest
 
-from chorcheck import fixtures as fx
+from chorcheck.formats import parse_gt
+from chorcheck.trace import Arrow
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO / "fixtures"
 SCHEMA_DIR = REPO / "schemas"
 
+# The reference protocols in fixtures/*.gt, by type name.
+FIXTURE_NAMES = ("g_sd", "g0", "branch", "real", "nonreal", "deadlock", "cross", "single")
+
+# (a1, a2, a2', a3, a4) of g_sd, whose language is {a2, a1·a3}.  The arrow a3
+# commutes with a1 but not with a2 or a2' (they share the receiver q'): the
+# one commutation pattern consistent with all the documented renunciation
+# behaviours of this type.
+GSD_ARROWS = (Arrow("p", "q", "m1"), Arrow("p", "q'", "m2"),
+              Arrow("p", "q'", "m2'"), Arrow("r", "q'", "m3"),
+              Arrow("q", "q'", "m4"))
+
+
+def load_fixture(name: str):
+    return parse_gt((FIXTURE_DIR / f"{name}.gt").read_text())
+
+
+def all_fixtures() -> dict:
+    return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
 
 @pytest.fixture
 def g_sd():
-    return fx.g_sd()
+    return load_fixture("g_sd")
 
 
 @pytest.fixture
 def g0():
-    return fx.g0()
+    return load_fixture("g0")
 
 
 @pytest.fixture
 def branch():
-    return fx.branch_language()
+    return load_fixture("branch")
 
 
 @pytest.fixture
 def real():
-    return fx.real_gt()
+    return load_fixture("real")
 
 
 @pytest.fixture
 def nonreal():
-    return fx.nonreal_gt()
+    return load_fixture("nonreal")
 
 
 @pytest.fixture
 def deadlock():
-    return fx.deadlock_gt()
+    return load_fixture("deadlock")
 
 
 @pytest.fixture
 def cross():
-    return fx.cross_gt()
+    return load_fixture("cross")
 
 
 @pytest.fixture
 def single():
-    return fx.single_arrow_gt()
+    return load_fixture("single")
 
 
 @pytest.fixture
 def fixture_suite():
-    return fx.all_fixtures()
+    return all_fixtures()
 
 
 @pytest.fixture
 def gsd_arrows():
-    return fx.gsd_arrows()
+    return GSD_ARROWS
 
 
 def load_schema(name: str) -> dict:

@@ -6,7 +6,6 @@ pass/fail line per criterion.
 
 import random
 
-from chorcheck import fixtures as fx
 from chorcheck.automata import eps_eliminate, erase_letter, words
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian, complement_dual,
@@ -31,6 +30,8 @@ from chorcheck.realisability import (Status, check_p2p_realisable,
 from chorcheck.semantics import Event, Execution, is_rsc_schedulable
 from chorcheck.trace import (Arrow, msc_of, next_arrow, next_msc, parse_arrow)
 
+from conftest import GSD_ARROWS, all_fixtures, load_fixture
+
 
 def word_of(text):
     return tuple(parse_arrow(part) for part in text.split())
@@ -38,7 +39,7 @@ def word_of(text):
 
 def test_criterion_01_renunciation_facts():
     """Renunciation membership facts on the sender-driven fixture."""
-    r = complement_renunciation(fx.g_sd())
+    r = complement_renunciation(load_fixture("g_sd"))
     assert not r.accepts(word_of("p->q':m2"))
     assert not r.accepts(word_of("p->q:m1 r->q':m3"))
     assert not r.accepts(word_of("r->q':m3 p->q:m1"))
@@ -49,11 +50,11 @@ def test_criterion_01_renunciation_facts():
 def test_criterion_02_bounded_complement_law():
     """verify_complement passes at 6 events for the three fixture pairs and
     25 random commutation-deterministic types with renunciation."""
-    g_sd = fx.g_sd()
+    g_sd = load_fixture("g_sd")
     assert verify_complement(g_sd, complement_renunciation(g_sd), 6).passed
-    g0 = fx.g0()
+    g0 = load_fixture("g0")
     assert verify_complement(g0, complement_dual(g0), 6).passed
-    real = fx.real_gt()
+    real = load_fixture("real")
     assert verify_complement(real, complement_cartesian(real).gtype, 6).passed
     rng = random.Random(42)
     for _ in range(25):
@@ -64,7 +65,7 @@ def test_criterion_02_bounded_complement_law():
 
 def test_criterion_03_count_profile_and_erasure():
     """Count-profile characterisation of the non-complementable example."""
-    branch = fx.branch_language()
+    branch = load_fixture("branch")
     report = count_profile_check(branch.automaton, branch.declaration,
                                  lambda k1, k2, k3: k1 > k2, 8)
     assert report.passed and report.profile_words > 0
@@ -77,7 +78,7 @@ def test_criterion_03_count_profile_and_erasure():
             for i in range(1, 6) for j in range(1, 6) if i + j <= 6}
     assert got == want
 
-    g0 = fx.g0()
+    g0 = load_fixture("g0")
     lang = bounded_existential(g0, 6)
     blocks = set()
     for m in enumerate_canonical(g0.declaration, 6):
@@ -96,9 +97,9 @@ def test_criterion_03_count_profile_and_erasure():
 
 def test_criterion_04_commutation_closure_vs_oracle():
     """Decision procedure agrees with the brute-force swap oracle."""
-    for g in fx.all_fixtures().values():
+    for g in all_fixtures().values():
         assert is_commutation_closed(g)[0] == swap_closure_oracle(g, 6)[0], g.name
-    renun = complement_renunciation(fx.g_sd())
+    renun = complement_renunciation(load_fixture("g_sd"))
     ok, witness = is_commutation_closed(renun)
     assert not ok and witness is not None
     assert not swap_closure_oracle(renun, 6)[0]
@@ -123,7 +124,7 @@ def test_criterion_05_three_participants_always_closed():
 
 def test_criterion_06_cartesian_abstraction_is_closed():
     """sync_product(project(G)) is always commutation-closed."""
-    for g in fx.all_fixtures().values():
+    for g in all_fixtures().values():
         assert is_commutation_closed(sync_product(project(g)))[0], g.name
     rng = random.Random(6)
     for _ in range(25):
@@ -146,8 +147,8 @@ def test_criterion_07_product_language_is_intersection():
 
 def test_criterion_08_next_arrow_recursion():
     """The next-arrow/next-MSC recursion decides existential membership."""
-    g_sd = fx.g_sd()
-    a1, a2, a2p, a3, a4 = fx.gsd_arrows()
+    g_sd = load_fixture("g_sd")
+    a1, a2, a2p, a3, a4 = GSD_ARROWS
     d = g_sd.declaration
     cs = choices(g_sd, 0)
     M4 = msc_of((a1, a2, a3), d)
@@ -155,7 +156,7 @@ def test_criterion_08_next_arrow_recursion():
     assert next_msc(M4, cs) == msc_of((a2, a3), d)
     M5 = msc_of((a4, a1, a2), d)
     assert next_msc(M5, cs) is None
-    cd_fixtures = [g for g in fx.all_fixtures().values()
+    cd_fixtures = [g for g in all_fixtures().values()
                    if is_commutation_deterministic(g)]
     assert len(cd_fixtures) >= 4
     for g in cd_fixtures:
@@ -166,22 +167,22 @@ def test_criterion_08_next_arrow_recursion():
 
 def test_criterion_09_synchronous_checker():
     """Synchronous realisability verdicts on the three verdict fixtures."""
-    real = fx.real_gt()
+    real = load_fixture("real")
     v = check_sync_realisable(real, complement_auto(real).gtype)
     assert v.realisable and v.sanity_lower_inclusion
 
-    nonreal = fx.nonreal_gt()
+    nonreal = load_fixture("nonreal")
     v = check_sync_realisable(nonreal, complement_auto(nonreal).gtype)
     assert not v.cc_holds and v.sanity_lower_inclusion
     m = msc_of(v.cc_witness, nonreal.declaration)
     assert not member_existential_oracle(nonreal, m)
 
-    dl = fx.deadlock_gt()
+    dl = load_fixture("deadlock")
     v = check_sync_realisable(dl, complement_auto(dl).gtype)
     assert v.cc_holds and v.deadlock_free is False
     assert v.sanity_lower_inclusion
 
-    for g in fx.all_fixtures().values():
+    for g in all_fixtures().values():
         try:
             comp = complement_auto(g).gtype
         except NoComplementMethodError:
@@ -191,17 +192,17 @@ def test_criterion_09_synchronous_checker():
 
 def test_criterion_10_p2p_pipeline():
     """Four-condition p2p check and the p2p => synch implication."""
-    real = fx.real_gt()
+    real = load_fixture("real")
     v = check_p2p_realisable(real, complement_auto(real).gtype, bound=2)
     assert v.overall is Status.HOLDS
 
-    cross = fx.cross_gt()
+    cross = load_fixture("cross")
     v = check_p2p_realisable(cross, complement_auto(cross).gtype, bound=2)
     assert v.cond1_rsc.status is Status.FAILS
     assert not is_rsc_schedulable(v.cond1_rsc.witness)[0]
 
     pairs = []
-    for g in fx.all_fixtures().values():
+    for g in all_fixtures().values():
         try:
             pairs.append((g, complement_auto(g).gtype))
         except NoComplementMethodError:
@@ -217,7 +218,7 @@ def test_criterion_10_p2p_pipeline():
 def test_criterion_11_appendix_lemmas():
     """Causal closure of explored p2p MSCs; agreement of the two FIFO
     validity definitions."""
-    for g in fx.all_fixtures().values():
+    for g in all_fixtures().values():
         report = check_causal_closure(project(g), 2, 8)
         assert report.passed, g.name
 
@@ -246,7 +247,7 @@ def test_criterion_11_appendix_lemmas():
 
 def test_criterion_12_renunciation_size_bound():
     """Unpruned renunciation size is at most 2|S|(1+|Arrows|)+1."""
-    instances = [fx.g_sd()]
+    instances = [load_fixture("g_sd")]
     rng = random.Random(12)
     for _ in range(25):
         instances.append(random_commutation_deterministic(rng))
