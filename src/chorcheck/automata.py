@@ -215,13 +215,8 @@ def determinise(a: Nfa) -> Dfa:
 
 
 def _subset_construction(a: Nfa) -> Dfa:
-    def successors(subset):
-        for x in a.alphabet:
-            nxt = a.step(subset, x)
-            if nxt:
-                yield x, nxt
-
-    order, _, transitions = _explore([a.eps_closure(a.initial)], successors)
+    order, _, transitions = _explore([a.eps_closure(a.initial)], lambda subset: (
+        (x, nxt) for x in a.alphabet if (nxt := a.step(subset, x))))
     accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
     names = tuple("{" + ",".join(sorted(a.state_name(s) for s in subset)) + "}"
                   for subset in order)
@@ -230,7 +225,7 @@ def _subset_construction(a: Nfa) -> Dfa:
 
 def _determinise_deterministic(a: Nfa, delta: dict) -> Dfa:
     order, _, transitions = _explore(a.initial, lambda s: (
-        (x, delta[(s, x)]) for x in a.alphabet if (s, x) in delta))
+        (x, t) for x in a.alphabet if (t := delta.get((s, x))) is not None))
     accepting = frozenset(i for i, s in enumerate(order) if s in a.accepting)
     names = tuple("{" + a.state_name(s) + "}" for s in order)
     return Dfa(a.alphabet, len(order), 0, transitions, accepting, names)
@@ -380,7 +375,11 @@ def erase_letter(a: Nfa, x) -> Nfa:
 def minimise(d: Dfa) -> Dfa:
     """Minimal complete DFA for L(d) (Moore partition refinement)."""
     d = complete(d)
-    reach, _, _ = _explore([d.initial], lambda s: ((x, d.delta[(s, x)]) for x in d.alphabet))
+
+    def successors(s):
+        return ((x, d.delta[(s, x)]) for x in d.alphabet)
+
+    reach, _, _ = _explore([d.initial], successors)
     states = sorted(reach)
     block = {s: (s in d.accepting) for s in states}
     while True:
@@ -397,7 +396,7 @@ def minimise(d: Dfa) -> Dfa:
     # canonical numbering: BFS from the initial block, letters in order
     member = {block[s]: s for s in states}
     blocks, _, transitions = _explore([block[d.initial]], lambda b: (
-        (x, block[d.delta[(member[b], x)]]) for x in d.alphabet))
+        (x, block[t]) for x, t in successors(member[b])))
     accepting = frozenset(i for i, b in enumerate(blocks) if member[b] in d.accepting)
     return Dfa(d.alphabet, len(blocks), 0, transitions, accepting)
 
