@@ -394,7 +394,7 @@ def minimise(d: Dfa) -> Dfa:
             break
         block = new_block
     # canonical numbering: BFS from the initial block, letters in order
-    member = {block[s]: s for s in states}
+    member = {block[s]: s for s in states}  # one state of each block
     blocks, _, transitions = _explore([block[d.initial]], lambda b: (
         (x, block[t]) for x, t in successors(member[b])))
     accepting = frozenset(i for i, b in enumerate(blocks) if member[b] in d.accepting)
