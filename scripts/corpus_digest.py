@@ -4,7 +4,10 @@ Runs `chorcheck.cli.main` in-process on every entry of
 `bench/data/recorded.json` (which it only reads) and prints one line per
 command: the number of runs and a sha256 over their stdout, exit codes and
 any file written with `-o`.  Two checkouts that print the same digests
-gave byte-identical output.  The commands are:
+gave byte-identical output.  Each line ends in `ok` when its digest equals
+the one committed in `EXPECTED` and in `CHANGED` when it does not; the
+script exits 1 when any line changed.  A change that moves the output on
+purpose updates `EXPECTED` in the same commit.  The commands are:
 
 - p2p: `realisable --model p2p` and `--model synch` (with the entry's
   complement) and `simulate`;
@@ -45,8 +48,28 @@ CLOSURE_COMMANDS = (
 )
 LAW_MAX_EVENTS = "6"
 
+# sha256 of each line's output, by line label
+EXPECTED = {
+    "realisable --model p2p --bound 2 --max-events 8 --json":
+        "f5e156ced51e04e5b73af4f671c4155bb5b78a1bd7565ce0dfbd0956c7e8b982",
+    "realisable --model synch --json":
+        "d9efaa3157a1f226466fbaef1bda66b3b4b38306100bcfa57181156bf0f5d328",
+    "simulate --bound 2 --max-events 8 --json":
+        "fe7d61860f7edf4ecbaeed6371f9fb94f82c019b9eb21295bf50e735bb4b0635",
+    "closure classify --json":
+        "17bd8f195e40661983eb1654b9006250f87df4695c7535c5914e1e9987ed505d",
+    "closure complement --method auto --json":
+        "9e58886d5b429c25b4c37cb849e5abc8a015832e0715bd3e536d1526f782e93d",
+    "complement-law complement --method auto -o --json":
+        "c891c56eb8a2b1b9a2855e0b1fabee52dd53a6d35ece4e895b1a1eae99451eb6",
+    "complement-law verify-complement --max-events 6 --json":
+        "7e45e1fc1c6cfd7b3997a60259e37143e1ea33dc20e8b835c3dbbc942cfe6168",
+    "complement-law member --json":
+        "d3986637f9c09e350e75147b67a695bea2449b10bd50667e78ade15a4fc0697d",
+}
 
-def digest_line(label: str, runs: list[tuple[list[str], Path | None]]) -> str:
+
+def run_digest(runs: list[tuple[list[str], Path | None]]) -> str:
     """Run each argv and digest its exit code, stdout and the file it wrote
     (when one is named)."""
     from chorcheck import cli
@@ -60,7 +83,15 @@ def digest_line(label: str, runs: list[tuple[list[str], Path | None]]) -> str:
         if written is not None:
             text += written.read_text() if written.exists() else "<no file>"
         digest.update(f"{code} {len(text)}\n{text}".encode())
-    return f"{label}: {len(runs)} runs, sha256 {digest.hexdigest()}"
+    return digest.hexdigest()
+
+
+def digest_line(label: str, runs: list[tuple[list[str], Path | None]]) -> bool:
+    """Print the line of `runs` and return whether its digest is unchanged."""
+    digest = run_digest(runs)
+    same = EXPECTED.get(label) == digest
+    print(f"{label}: {len(runs)} runs, sha256 {digest} {'ok' if same else 'CHANGED'}")
+    return same
 
 
 def main() -> int:
@@ -70,6 +101,7 @@ def main() -> int:
         return 2
 
     recorded = json.loads(RECORDED.read_text())
+    same = []
     with tempfile.TemporaryDirectory() as tmp:
         def write(name: str, text: str) -> str:
             path = Path(tmp, f"{name}.gt")
@@ -85,22 +117,22 @@ def main() -> int:
                 if command == "realisable":
                     argv += ["--complement", comp]
                 runs.append((argv, None))
-            print(digest_line(f"{command} {' '.join(options)}", runs))
+            same.append(digest_line(f"{command} {' '.join(options)}", runs))
 
         closure = [write(f"abs{i}", e["gt"]) for i, e in enumerate(recorded["closure"])]
         for command, options in CLOSURE_COMMANDS:
-            print(digest_line(f"closure {command} {' '.join(options)}",
-                              [([command, gt, *options], None) for gt in closure]))
+            same.append(digest_line(f"closure {command} {' '.join(options)}",
+                                    [([command, gt, *options], None) for gt in closure]))
 
         law = [(write(f"law{i}", e["gt"]), Path(tmp, f"law{i}.complement.gt"))
                for i, e in enumerate(recorded["complement-law"]) if "gt" in e]
-        print(digest_line("complement-law complement --method auto -o --json", [
+        same.append(digest_line("complement-law complement --method auto -o --json", [
             (["complement", gt, "--method", "auto", "-o", str(comp), "--json"], comp)
             for gt, comp in law]))
-        print(digest_line(f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} "
-                          "--json", [
-            (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS,
-              "--json"], None) for gt, comp in law]))
+        same.append(digest_line(
+            f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} --json", [
+                (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS,
+                  "--json"], None) for gt, comp in law]))
 
         types = {(name, side): write(f"{name}.{side}", entry[side])
                  for name, entry in recorded["member_types"].items()
@@ -113,8 +145,8 @@ def main() -> int:
                 for universal in ((False, True) if e["universal"] else (False,)):
                     argv = ["member", types[(e["type"], side)], "--msc", e["msc"], "--json"]
                     runs.append((argv + ["--universal"] * universal, None))
-        print(digest_line("complement-law member --json", runs))
-    return 0
+        same.append(digest_line("complement-law member --json", runs))
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":

@@ -3,11 +3,14 @@
 Exit codes: 0 = property holds / success, 1 = property fails (witnesses
 printed), 2 = usage, parse or output error, 3 = `unknown` verdict (also
 when a bounded check would exceed its size limit).
+
+The argument parser is built once per process, on the first call of `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -172,19 +175,18 @@ def cmd_member(args) -> int:
 def cmd_project(args) -> int:
     g = _load_gt(args.gt)
     system = project(g)
+    texts = {cfsm.process: render_cfsm(cfsm, system) for cfsm in system.cfsms}
     if args.output:
         outdir = Path(args.output)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for cfsm in system.cfsms:
-                (outdir / f"{cfsm.process}.cfsm").write_text(render_cfsm(cfsm, system))
+            for process, text in texts.items():
+                (outdir / f"{process}.cfsm").write_text(text)
         except OSError as exc:
             raise CliError(f"cannot write {outdir}: {exc}") from None
-        print(f"wrote {len(system.cfsms)} CFSM files to {outdir}")
-    else:
-        for cfsm in system.cfsms:
-            sys.stdout.write(render_cfsm(cfsm, system))
-            sys.stdout.write("\n")
+    lines = ([f"wrote {len(texts)} CFSM files to {outdir}"] if args.output
+             else list(texts.values()))
+    _emit(args, {"command": "project", "cfsms": texts}, lines)
     return EXIT_HOLDS
 
 
@@ -306,7 +308,11 @@ def cmd_dot(args) -> int:
         obj = parse_cfsm(text) if text.lstrip().startswith("cfsm") else parse_gt(text)
     except ParseError as exc:
         raise CliError(f"{args.file}: {exc}") from None
-    sys.stdout.write(render_dot(obj))
+    text = render_dot(obj)
+    if args.json:
+        _emit(args, {"command": "dot", "dot": text}, [])
+    else:
+        sys.stdout.write(text)
     return EXIT_HOLDS
 
 
@@ -376,6 +382,7 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chorcheck",

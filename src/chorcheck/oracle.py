@@ -3,8 +3,9 @@
 Everything here enumerates: canonical traces over a small arrow alphabet,
 bounded existential MSC languages, the xor complement law, the
 count-profile characterisation used by the non-complementability fixture,
-and the linearisations and FIFO checks of p2p MSCs.  These are the oracles
-the cleverer constructions are tested against; no verdict uses them.
+the bounded p2p executions with their MSCs, and the linearisations and FIFO
+checks of p2p MSCs.  These are the oracles the cleverer constructions are
+tested against; no verdict uses them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .automata import Nfa, eps_eliminate, words
 from .realisability import Status, check_p2p_realisable
-from .semantics import (Event, Execution, P2pMsc, System, msc_of_execution,
-                        p2p_mscs)
+from .semantics import (Event, Execution, P2pMsc, System, _successors,
+                        msc_of_execution, p2p_mscs)
 from .trace import Declaration, Msc, SizeLimitError, is_normal_form, msc_of
 
 
@@ -227,6 +228,44 @@ def is_p2p_execution_by_sequence(e: Execution) -> bool:
             if s1 not in recv_of or recv_of[s1] > recv_of[s2]:
                 return False
     return True
+
+
+def p2p_mscs_by_enumeration(system: System, bound: int, max_events: int = 8):
+    """`semantics.p2p_mscs` without its memo: every bounded execution is
+    enumerated, each receive is matched to its channel's oldest unreceived
+    send by scanning the events, and each MSC is built from scratch.
+
+    Returns the same (dict from MSC to the first execution found with it,
+    bound_hit) pair, in the same depth-first order.
+    """
+    _, init, steps = _successors(system, bound)
+    mscs = {}
+    bound_hit = False
+
+    def rec(cfg, events):
+        nonlocal bound_hit
+        execution = Execution(events)
+        mscs.setdefault(msc_of_execution(execution), execution)
+        enabled, blocked_by_bound = steps(cfg)
+        if len(events) >= max_events:
+            bound_hit = bound_hit or bool(enabled)
+            return
+        bound_hit = bound_hit or blocked_by_bound
+        for act, _, nxt in enabled:
+            if act.is_send:
+                ev = Event(True, act.process, act.peer, act.message)
+            else:
+                channel = (act.peer, act.process)
+                sends = [i for i, e in enumerate(events)
+                         if e.is_send and (e.sender, e.receiver) == channel]
+                received = sum(not e.is_send and (e.sender, e.receiver) == channel
+                               for e in events)
+                ev = Event(False, act.peer, act.process, act.message,
+                           match=sends[received])
+            rec(nxt, events + (ev,))
+
+    rec(init, ())
+    return mscs, bound_hit
 
 
 @dataclass

@@ -390,22 +390,27 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     if max_events < 0:
         raise ValueError("event budget must be >= 0")
     keys, init, steps = _successors(system, bound)
+    procs = sorted(system.declaration.processes)  # P2pMsc lists processes by name
+    pidx = {p: i for i, p in enumerate(procs)}
     mscs = {}
     bound_hit = False
     seen = set()
 
-    # `pending` holds, per channel, the indices of the sends in transit
-    def rec(cfg, pending, events):
+    # Each node extends its parent's MSC by one event: `labels` holds the
+    # per-process label tuples (in `procs` order), `matching` the matched
+    # (send node, receive node) pairs, and `pending`, per channel, the
+    # (event index, node) of each send in transit.
+    def rec(cfg, pending, labels, matching, events):
         nonlocal bound_hit
-        execution = Execution(tuple(events))
-        m = msc_of_execution(execution)
+        m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
         # the continuation depends only on the configuration and the MSC,
         # not on which interleaving produced it
         key = (cfg, m)
         if key in seen:
             return
         seen.add(key)
-        mscs.setdefault(m, execution)
+        if m not in mscs:
+            mscs[m] = Execution(tuple(events))
         enabled, blocked_by_bound = steps(cfg)
         if len(events) >= max_events:
             if enabled:
@@ -413,15 +418,20 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
             return
         bound_hit = bound_hit or blocked_by_bound
         for act, ch, nxt in enabled:
+            k = pidx[act.process]
+            node = (act.process, len(labels[k]))
+            new_labels = list(labels)
+            new_labels[k] += ((act.is_send, act.peer, act.message),)
             new_pending = list(pending)
+            new_matching = matching
             if act.is_send:
-                new_pending[ch] += (len(events),)
+                new_pending[ch] += ((len(events), node),)
                 ev = Event(True, act.process, act.peer, act.message)
             else:
-                ev = Event(False, act.peer, act.process, act.message,
-                           match=new_pending[ch][0])
-                new_pending[ch] = new_pending[ch][1:]
-            rec(nxt, tuple(new_pending), events + [ev])
+                (j, send), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
+                new_matching = matching | {(send, node)}
+                ev = Event(False, act.peer, act.process, act.message, match=j)
+            rec(nxt, tuple(new_pending), tuple(new_labels), new_matching, events + [ev])
 
-    rec(init, tuple(() for _ in keys), [])
+    rec(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), [])
     return mscs, bound_hit

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 import chorcheck
-from chorcheck.cli import main
+from chorcheck.cli import build_parser, main
 
 from conftest import FIXTURE_DIR, load_schema
 
@@ -97,6 +98,17 @@ def test_project(capsys, tmp_path):
     assert (tmp_path / "cfsms" / "r.cfsm").exists()
 
 
+def test_project_json(capsys, tmp_path):
+    code, payload = run_json(capsys, "project", "project", REAL)
+    assert code == 0 and sorted(payload["cfsms"]) == ["p", "q", "r"]
+    code, text = run(capsys, "project", REAL)
+    assert text == "".join(t + "\n" for t in payload["cfsms"].values())
+    outdir = tmp_path / "cfsms"
+    code, again = run_json(capsys, "project", "project", REAL, "-o", str(outdir))
+    assert code == 0 and again == payload
+    assert (outdir / "p.cfsm").read_text() == payload["cfsms"]["p"]
+
+
 def test_realisable_synch(capsys, tmp_path):
     comp = tmp_path / "bar.gt"
     main(["complement", REAL, "-o", str(comp)])
@@ -148,6 +160,28 @@ def test_simulate(capsys):
 def test_dot(capsys):
     code, out = run(capsys, "dot", G0)
     assert code == 0 and out.startswith("digraph")
+    code, payload = run_json(capsys, "dot", "dot", G0)
+    assert code == 0 and payload["dot"] == out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    first = run(capsys, "classify", G0, "--json")
+    parsers = len(built)
+    assert main(["classify"]) == 2                    # usage error in between
+    assert capsys.readouterr().err.startswith("usage:")
+    second = run(capsys, "classify", G0, "--json")
+    assert built.count("chorcheck") == 1
+    assert len(built) == parsers
+    assert second == first and first[0] == 0
 
 
 def test_oracle_enumerate(capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,27 @@ def test_corpus_digest_requires_hash_seed_zero():
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 2, seed
         assert r.stderr.startswith("error:") and not r.stdout
+
+
+def test_corpus_digest_exits_1_on_a_changed_digest(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "corpus_digest", REPO / "scripts" / "corpus_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    committed = list(digest.EXPECTED.values())
+    # the runner gives back the committed digests in line order: no CLI runs
+    outputs = iter(committed)
+    monkeypatch.setattr(digest, "run_digest", lambda runs: next(outputs))
+    assert digest.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(committed)
+    assert all(line.endswith(" ok") for line in lines)
+
+    changed = "simulate --bound 2 --max-events 8 --json"
+    monkeypatch.setitem(digest.EXPECTED, changed, "0" * 64)
+    outputs = iter(committed)
+    assert digest.main() == 1
+    flagged = [line for line in capsys.readouterr().out.splitlines()
+               if line.endswith(" CHANGED")]
+    assert len(flagged) == 1 and flagged[0].startswith(changed + ":")

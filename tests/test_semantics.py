@@ -6,7 +6,8 @@ import pytest
 from chorcheck import oracle
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
-                              is_p2p_execution_by_sequence, linearisations_p2p)
+                              is_p2p_execution_by_sequence, linearisations_p2p,
+                              p2p_mscs_by_enumeration)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
 from chorcheck.semantics import (Event, Execution, ExecutionError,
@@ -208,6 +209,30 @@ def test_p2p_mscs_cross(cross):
     assert not bound_hit
     squares = [m for m in mscs if len(m) == 4]
     assert any(not is_rsc_schedulable(m)[0] for m in squares)
+
+
+def test_p2p_mscs_matches_enumeration(fixture_suite):
+    # the incremental MSCs and the memo against every execution's MSC built
+    # from scratch: same MSCs, same first executions, same bound flag
+    cases = [(g, bound, budget) for g in fixture_suite.values()
+             for bound in (1, 2, 3) for budget in (5, 6)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        decl = random_declaration(rng, rng.randint(3, 4), 2, rng.randint(2, 4))
+        g = random_global_type(rng, decl, rng.randint(2, 4),
+                               deterministic=seed % 3 != 2)
+        cases.append((g, rng.randint(1, 3), rng.randint(5, 6)))
+    flags = set()
+    for g, bound, budget in cases:
+        system = project(g)
+        mscs, bound_hit = p2p_mscs(system, bound, budget)
+        for m, e in mscs.items():
+            assert msc_of_execution(e) == m, (g.name, bound, budget, str(m))
+        expected, expected_hit = p2p_mscs_by_enumeration(system, bound, budget)
+        assert mscs == expected, (g.name, bound, budget)
+        assert bound_hit == expected_hit, (g.name, bound, budget)
+        flags.add(bound_hit)
+    assert flags == {True, False}
 
 
 def test_causal_closure_fixtures(fixture_suite):
