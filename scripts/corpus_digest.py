@@ -3,7 +3,7 @@
 Runs `chorcheck.cli.main` in-process on every entry of
 `bench/data/recorded.json` (which it only reads) and prints one line per
 command: the number of runs and a sha256 over their stdout, exit codes and
-any file written with `-o`.  Two checkouts that print the same digests
+any file written with `-o` (stderr is not digested).  Two checkouts that print the same digests
 gave byte-identical output.  Each line ends in `ok` when its digest equals
 the one committed in `EXPECTED` and in `CHANGED` when it does not; the
 script exits 1 when any line changed.  A change that moves the output on
@@ -13,8 +13,11 @@ purpose updates `EXPECTED` in the same commit.  The commands are:
   complement) and `simulate`;
 - closure: `classify` and `complement --method auto`;
 - complement-law: `complement --method auto -o`, then
-  `verify-complement --max-events 6` on the file written, and the `member`
-  queries against `member_types` (`--universal` too where the entry asks).
+  `verify-complement --max-events 6` on the file written, the `member`
+  queries against `member_types` (`--universal` too where the entry asks),
+  `project -o --json`, then `dot` on each `.cfsm` file written, `dot
+  --json`, and `complement --json` with each explicit method (a method
+  that refuses the type counts through its exit code).
 
 The digests are compared under one fixed hash seed: PYTHONHASHSEED=0 is
 required and any other setting is refused with exit code 2.  (Under seeds
@@ -47,6 +50,7 @@ CLOSURE_COMMANDS = (
     ("complement", ("--method", "auto", "--json")),
 )
 LAW_MAX_EVENTS = "6"
+LAW_COMPLEMENT_METHODS = ("dual", "renunciation", "cartesian")
 
 # sha256 of each line's output, by line label
 EXPECTED = {
@@ -66,6 +70,18 @@ EXPECTED = {
         "7e45e1fc1c6cfd7b3997a60259e37143e1ea33dc20e8b835c3dbbc942cfe6168",
     "complement-law member --json":
         "d3986637f9c09e350e75147b67a695bea2449b10bd50667e78ade15a4fc0697d",
+    "complement-law project -o --json":
+        "c3572f33dcade156bb0aabf1dc59a63dd4065d34635a36d0cdedc7f15a4b82ff",
+    "complement-law dot on the projected .cfsm files":
+        "48b764cabbfd5a817e66c849367a0988c1730b2246541bb33701c8e776125854",
+    "complement-law dot --json":
+        "b8f5641152b4a2a6a78e79702b4eb9e9c0df6b8af7b996175eb80cd3af0612de",
+    "complement-law complement --method dual --json":
+        "dffec044dca7b68e49fdf7c8f94bdccfdd14e4b8abd81ed3bf097f11bea79a41",
+    "complement-law complement --method renunciation --json":
+        "0bb6602330aa78998d480beefaf7b8d049b0ecacd2f25741c22f8ee19a2dce40",
+    "complement-law complement --method cartesian --json":
+        "bb9eeb6ad58c1825f6f6936101f09ea5d748509bb9f5c5d48eaa966a93bfebaa",
 }
 
 
@@ -77,7 +93,7 @@ def run_digest(runs: list[tuple[list[str], Path | None]]) -> str:
     digest = hashlib.sha256()
     for argv, written in runs:
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
         text = out.getvalue()
         if written is not None:
@@ -146,6 +162,20 @@ def main() -> int:
                     argv = ["member", types[(e["type"], side)], "--msc", e["msc"], "--json"]
                     runs.append((argv + ["--universal"] * universal, None))
         same.append(digest_line("complement-law member --json", runs))
+
+        cfsm_dirs = [Path(gt).with_suffix(".cfsm") for gt, _ in law]
+        same.append(digest_line("complement-law project -o --json", [
+            (["project", gt, "-o", str(out), "--json"], None)
+            for (gt, _), out in zip(law, cfsm_dirs)]))
+        same.append(digest_line("complement-law dot on the projected .cfsm files", [
+            (["dot", str(cfsm)], None)
+            for out in cfsm_dirs for cfsm in sorted(out.glob("*.cfsm"))]))
+        same.append(digest_line("complement-law dot --json",
+                                [(["dot", gt, "--json"], None) for gt, _ in law]))
+        for method in LAW_COMPLEMENT_METHODS:
+            same.append(digest_line(f"complement-law complement --method {method} --json", [
+                (["complement", gt, "--method", method, "--json"], None)
+                for gt, _ in law]))
     return 0 if all(same) else 1
 
 
