@@ -1,7 +1,7 @@
 """Global types as arrow-automata: complementation, classification, and
 deadlock-free realisability in the synchronous and bounded p2p models."""
 
-from .automata import Dfa, Nfa
+from .automata import Nfa
 from .complement import (ComplementReport, ComplementResult,
                          NoComplementMethodError, complement_auto,
                          complement_cartesian, complement_dual,

@@ -4,6 +4,10 @@ States are integer indices; letters are whatever hashable values the
 caller uses (arrows, local actions, plain strings in tests).  The letter
 order is the position in the alphabet tuple and determines witness-word
 tie-breaking (shortest, then lexicographically least).
+
+There is one automaton type, `Nfa`.  A DFA is an `Nfa` whose `delta` is not
+None: one initial state, no epsilon, at most one successor per (state,
+letter).
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class Nfa:
         return all(x is not EPS for _, x, _ in self.transitions)
 
     @cached_property
-    def _delta(self) -> dict | None:
+    def delta(self) -> dict | None:
         """(state, letter) -> successor if deterministic (one initial state,
         no epsilon, at most one successor per pair), else None."""
         if len(self.initial) != 1 or not self.epsilon_free:
@@ -106,55 +110,6 @@ class Nfa:
             if not states:
                 return False
         return bool(states & self.accepting)
-
-    def state_name(self, s: int) -> str:
-        return self.names[s] if self.names else f"s{s}"
-
-
-@dataclass(frozen=True)
-class Dfa:
-    alphabet: tuple
-    n_states: int
-    initial: int
-    transitions: frozenset  # triples (src, letter, dst), at most one per (src, letter)
-    accepting: frozenset
-    names: tuple | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        _validate(self.alphabet, self.n_states, self.transitions, self.accepting, [self.initial])
-        seen = set()
-        for s, x, _ in self.transitions:
-            if x is EPS:
-                raise AutomatonError("epsilon transition in a DFA")
-            if (s, x) in seen:
-                raise AutomatonError(f"non-deterministic on ({s},{x!r})")
-            seen.add((s, x))
-
-    @cached_property
-    def delta(self) -> dict:
-        return {(s, x): t for s, x, t in self.transitions}
-
-    @property
-    def complete(self) -> bool:
-        return len(self.transitions) == self.n_states * len(self.alphabet)
-
-    def dstep(self, s: int, letter):
-        return self.delta.get((s, letter))
-
-    def accepts(self, word) -> bool:
-        s = self.initial
-        for x in word:
-            s = self.delta.get((s, x))
-            if s is None:
-                return False
-        return s in self.accepting
-
-    def to_nfa(self) -> Nfa:
-        return Nfa(self.alphabet, self.n_states, frozenset({self.initial}),
-                   self.transitions, self.accepting, self.names)
 
     def state_name(self, s: int) -> str:
         return self.names[s] if self.names else f"s{s}"
@@ -202,55 +157,63 @@ def _explore(starts, successors) -> tuple[list, dict, list]:
     return order, index, transitions
 
 
-def determinise(a: Nfa) -> Dfa:
+def determinise(a: Nfa) -> Nfa:
     """Reachable-subset construction; never materialises the full powerset.
 
     Deterministic input takes a BFS over single states instead, which gives
     the same numbering, transitions, accepting set and names.
     """
     a = eps_eliminate(a)
-    if a._delta is not None:
-        return _determinise_deterministic(a, a._delta)
+    if a.delta is not None:
+        return _determinise_deterministic(a, a.delta)
     return _subset_construction(a)
 
 
-def _subset_construction(a: Nfa) -> Dfa:
+def _subset_construction(a: Nfa) -> Nfa:
     order, _, transitions = _explore([a.eps_closure(a.initial)], lambda subset: (
         (x, nxt) for x in a.alphabet if (nxt := a.step(subset, x))))
     accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
     names = tuple("{" + ",".join(sorted(a.state_name(s) for s in subset)) + "}"
                   for subset in order)
-    return Dfa(a.alphabet, len(order), 0, transitions, accepting, names)
+    return Nfa(a.alphabet, len(order), frozenset({0}), transitions, accepting, names)
 
 
-def _determinise_deterministic(a: Nfa, delta: dict) -> Dfa:
+def _determinise_deterministic(a: Nfa, delta: dict) -> Nfa:
     order, _, transitions = _explore(a.initial, lambda s: (
         (x, t) for x in a.alphabet if (t := delta.get((s, x))) is not None))
     accepting = frozenset(i for i, s in enumerate(order) if s in a.accepting)
     names = tuple("{" + a.state_name(s) + "}" for s in order)
-    return Dfa(a.alphabet, len(order), 0, transitions, accepting, names)
+    return Nfa(a.alphabet, len(order), frozenset({0}), transitions, accepting, names)
 
 
-def complete(d: Dfa) -> Dfa:
-    """Add a sink state if some (state, letter) transition is missing."""
-    if d.complete:
+def _dfa_delta(d: Nfa) -> dict:
+    """The transition map of a deterministic `d`."""
+    if d.delta is None:
+        raise AutomatonError("automaton is not deterministic")
+    return d.delta
+
+
+def complete(d: Nfa) -> Nfa:
+    """Add a sink state to a DFA if some (state, letter) transition is missing."""
+    delta = _dfa_delta(d)
+    if len(delta) == d.n_states * len(d.alphabet):
         return d
     sink = d.n_states
     transitions = set(d.transitions)
     for s in range(d.n_states + 1):
         for x in d.alphabet:
-            if (s, x) not in d.delta or s == sink:
+            if (s, x) not in delta or s == sink:
                 transitions.add((s, x, sink))
     names = tuple(d.names) + ("sink",) if d.names else None
-    return Dfa(d.alphabet, d.n_states + 1, d.initial, frozenset(transitions),
+    return Nfa(d.alphabet, d.n_states + 1, d.initial, frozenset(transitions),
                d.accepting, names)
 
 
-def dual(d: Dfa) -> Dfa:
-    """Complete, then swap accepting and non-accepting states."""
+def dual(d: Nfa) -> Nfa:
+    """Complete a DFA, then swap accepting and non-accepting states."""
     d = complete(d)
     accepting = frozenset(range(d.n_states)) - d.accepting
-    return Dfa(d.alphabet, d.n_states, d.initial, d.transitions, accepting, d.names)
+    return Nfa(d.alphabet, d.n_states, d.initial, d.transitions, accepting, d.names)
 
 
 def product(a: Nfa, b: Nfa) -> Nfa:
@@ -318,7 +281,7 @@ def is_empty(a: Nfa) -> tuple[bool, tuple | None]:
 
 def includes(a: Nfa, b: Nfa) -> tuple[bool, tuple | None]:
     """L(a) ⊇ L(b)?  Counterexample is a word of L(b) \\ L(a)."""
-    comp = dual(determinise(a)).to_nfa()
+    comp = dual(determinise(a))
     empty, witness = is_empty(product(comp, b))
     return empty, witness
 
@@ -372,18 +335,19 @@ def erase_letter(a: Nfa, x) -> Nfa:
     return Nfa(a.alphabet, a.n_states, a.initial, transitions, a.accepting, a.names)
 
 
-def minimise(d: Dfa) -> Dfa:
+def minimise(d: Nfa) -> Nfa:
     """Minimal complete DFA for L(d) (Moore partition refinement)."""
     d = complete(d)
+    delta = _dfa_delta(d)
 
     def successors(s):
-        return ((x, d.delta[(s, x)]) for x in d.alphabet)
+        return ((x, delta[(s, x)]) for x in d.alphabet)
 
-    reach, _, _ = _explore([d.initial], successors)
+    reach, _, _ = _explore(d.initial, successors)
     states = sorted(reach)
     block = {s: (s in d.accepting) for s in states}
     while True:
-        sig = {s: (block[s], tuple(block[d.delta[(s, x)]] for x in d.alphabet))
+        sig = {s: (block[s], tuple(block[delta[(s, x)]] for x in d.alphabet))
                for s in states}
         classes = {}
         for s in states:
@@ -395,10 +359,10 @@ def minimise(d: Dfa) -> Dfa:
         block = new_block
     # canonical numbering: BFS from the initial block, letters in order
     member = {block[s]: s for s in states}  # one state of each block
-    blocks, _, transitions = _explore([block[d.initial]], lambda b: (
+    blocks, _, transitions = _explore([block[s] for s in d.initial], lambda b: (
         (x, block[t]) for x, t in successors(member[b])))
     accepting = frozenset(i for i, b in enumerate(blocks) if member[b] in d.accepting)
-    return Dfa(d.alphabet, len(blocks), 0, transitions, accepting)
+    return Nfa(d.alphabet, len(blocks), frozenset({0}), transitions, accepting)
 
 
 def _bfs_word(alphabet, start, step, goal) -> tuple | None:
@@ -422,18 +386,22 @@ def _bfs_word(alphabet, start, step, goal) -> tuple | None:
     return None
 
 
-def access_word(d: Dfa, s: int) -> tuple | None:
-    """Shortest, then lexicographically least, word leading to state `s`."""
-    return _bfs_word(d.alphabet, d.initial, lambda t, x: d.delta.get((t, x)),
+def access_word(d: Nfa, s: int) -> tuple | None:
+    """Shortest, then lexicographically least, word leading to state `s` of
+    a DFA."""
+    delta = _dfa_delta(d)
+    (initial,) = d.initial
+    return _bfs_word(d.alphabet, initial, lambda t, x: delta.get((t, x)),
                      lambda t: t == s)
 
 
-def distinguishing_word(d: Dfa, p: int, q: int) -> tuple | None:
+def distinguishing_word(d: Nfa, p: int, q: int) -> tuple | None:
     """Shortest, then lexicographically least, v such that exactly one of
     δ(p,v) and δ(q,v) is accepting; None when p and q are equivalent.
-    `d` must be complete."""
+    `d` must be a complete DFA."""
+    delta = _dfa_delta(d)
     return _bfs_word(d.alphabet, (p, q),
-                     lambda pq, x: (d.delta[(pq[0], x)], d.delta[(pq[1], x)]),
+                     lambda pq, x: (delta[(pq[0], x)], delta[(pq[1], x)]),
                      lambda pq: (pq[0] in d.accepting) != (pq[1] in d.accepting))
 
 

@@ -355,7 +355,7 @@ def render_cfsm(cfsm: Cfsm, system: System | None = None) -> str:
     lines = [f"cfsm {cfsm.process}_machine of {cfsm.process} {{"] + decl_lines
     states = []
     for s in range(d.n_states):
-        mark = ("*" if s == d.initial else "") + ("+" if s in d.accepting else "")
+        mark = ("*" if s in d.initial else "") + ("+" if s in d.accepting else "")
         states.append(f"t{s}" + mark)
     lines.append("  states: " + ", ".join(states) + ";")
     for s, act, t in sorted(d.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
@@ -384,15 +384,14 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_automaton(out: list, prefix: str, n_states: int, initial, accepting,
-                   transitions, name_of):
+def _dot_automaton(out: list, prefix: str, a: Nfa):
     out.append(f'  {prefix}init [shape=point];')
-    for s in range(n_states):
-        shape = "doublecircle" if s in accepting else "circle"
-        out.append(f'  {prefix}{s} [label="{_dot_escape(name_of(s))}", shape={shape}];')
-    for s in initial:
+    for s in range(a.n_states):
+        shape = "doublecircle" if s in a.accepting else "circle"
+        out.append(f'  {prefix}{s} [label="{_dot_escape(a.state_name(s))}", shape={shape}];')
+    for s in a.initial:
         out.append(f"  {prefix}init -> {prefix}{s};")
-    for s, x, t in sorted(transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
+    for s, x, t in sorted(a.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
         label = "ε" if x is None else str(x)
         out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(label)}"];')
 
@@ -400,22 +399,14 @@ def _dot_automaton(out: list, prefix: str, n_states: int, initial, accepting,
 def render_dot(obj) -> str:
     """DOT rendering for a GlobalType, a Cfsm, or a System."""
     out = ["digraph g {", "  rankdir=LR;"]
-    if isinstance(obj, GlobalType):
-        a = obj.automaton
-        _dot_automaton(out, "s", a.n_states, a.initial, a.accepting,
-                       a.transitions, a.state_name)
-    elif isinstance(obj, Cfsm):
-        d = obj.automaton
-        _dot_automaton(out, "s", d.n_states, {d.initial}, d.accepting,
-                       d.transitions, d.state_name)
+    if isinstance(obj, (GlobalType, Cfsm)):
+        _dot_automaton(out, "s", obj.automaton)
     elif isinstance(obj, System):
         for k, cfsm in enumerate(obj.cfsms):
-            d = cfsm.automaton
             out.append(f"  subgraph cluster_{k} {{")
             out.append(f'    label="{_dot_escape(cfsm.process)}";')
             inner: list[str] = []
-            _dot_automaton(inner, f"c{k}_", d.n_states, {d.initial}, d.accepting,
-                           d.transitions, d.state_name)
+            _dot_automaton(inner, f"c{k}_", cfsm.automaton)
             out.extend("  " + line for line in inner)
             out.append("  }")
     else:

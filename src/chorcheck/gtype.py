@@ -56,7 +56,7 @@ def choices(g: GlobalType, s: int) -> frozenset[Arrow]:
 
 
 def is_deterministic(g: GlobalType) -> bool:
-    return g.automaton._delta is not None
+    return g.automaton.delta is not None
 
 
 def _choices_per_state(g: GlobalType) -> list[set[Arrow]]:
@@ -178,17 +178,14 @@ def gt_product(g: GlobalType, h: GlobalType, name: str = "") -> GlobalType:
 
 
 def determinise_gt(g: GlobalType) -> GlobalType:
-    return g.with_automaton(determinise(g.automaton).to_nfa())
+    return g.with_automaton(determinise(g.automaton))
 
 
 def dual_gt(g: GlobalType) -> GlobalType:
     """Dual DFA of a deterministic global type (completes first)."""
     if not is_deterministic(g):
         raise ClassificationError("dual requires a deterministic global type")
-    d = automata.Dfa(g.automaton.alphabet, g.automaton.n_states,
-                     next(iter(g.automaton.initial)), g.automaton.transitions,
-                     g.automaton.accepting, g.automaton.names)
-    return g.with_automaton(automata.dual(d).to_nfa(),
+    return g.with_automaton(automata.dual(g.automaton),
                             f"dual({g.name})" if g.name else "")
 
 
@@ -240,6 +237,6 @@ def member_existential_via_next(g: GlobalType, m: Msc) -> bool:
         rest = next_msc(trace, cs)
         if rest is None:
             return False
-        return rec(a._delta[(state, arrow)], rest)
+        return rec(a.delta[(state, arrow)], rest)
 
     return rec(next(iter(a.initial)), m)

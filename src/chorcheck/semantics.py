@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Dfa, _explore
+from .automata import Nfa, _explore
 from .trace import Declaration
 
 
@@ -56,12 +56,15 @@ def local_alphabet(declaration: Declaration, process: str) -> tuple[LocalAction,
 
 @dataclass(frozen=True)
 class Cfsm:
-    """Per-process local automaton over that process's send/receive actions."""
+    """Per-process local automaton over that process's send/receive actions;
+    the automaton must be deterministic."""
 
     process: str
-    automaton: Dfa
+    automaton: Nfa
 
     def __post_init__(self):
+        if self.automaton.delta is None:
+            raise ValueError(f"the automaton of process {self.process} is not deterministic")
         for act in self.automaton.alphabet:
             if act.process != self.process:
                 raise ValueError(f"action {act} does not belong to process {self.process}")
@@ -101,16 +104,17 @@ class SyncGraph:
 def sync_explore(system: System) -> SyncGraph:
     """BFS over tuples of local states under rendezvous communication."""
     decl = system.declaration
-    init = tuple(c.automaton.initial for c in system.cfsms)
+    init = tuple(next(iter(c.automaton.initial)) for c in system.cfsms)
     pidx = {p: i for i, p in enumerate(decl.processes)}
+    deltas = [c.automaton.delta for c in system.cfsms]
 
     def successors(cfg):
         for arrow in decl.arrows:
             si, ri = pidx[arrow.sender], pidx[arrow.receiver]
-            s2 = system.cfsms[si].automaton.dstep(
-                cfg[si], send_action(arrow.sender, arrow.receiver, arrow.message))
-            r2 = system.cfsms[ri].automaton.dstep(
-                cfg[ri], recv_action(arrow.receiver, arrow.sender, arrow.message))
+            s2 = deltas[si].get(
+                (cfg[si], send_action(arrow.sender, arrow.receiver, arrow.message)))
+            r2 = deltas[ri].get(
+                (cfg[ri], recv_action(arrow.receiver, arrow.sender, arrow.message)))
             if s2 is not None and r2 is not None:
                 nxt = list(cfg)
                 nxt[si], nxt[ri] = s2, r2
@@ -308,7 +312,7 @@ def _successors(system: System, bound: int):
     decl = system.declaration
     keys = tuple((p, q) for p in decl.processes for q in decl.processes if p != q)
     kidx = {k: i for i, k in enumerate(keys)}
-    init = P2pConfiguration(tuple(c.automaton.initial for c in system.cfsms),
+    init = P2pConfiguration(tuple(next(iter(c.automaton.initial)) for c in system.cfsms),
                             tuple(() for _ in keys))
     outgoing: dict[tuple[int, int], list] = {}  # (process index, state) -> [(action, target)]
     for i, cfsm in enumerate(system.cfsms):

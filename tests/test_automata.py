@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorcheck.automata import (EPS, AlphabetMismatchError, AutomatonError,
-                                Dfa, Nfa, _subset_construction, access_word,
+                                Nfa, _subset_construction, access_word,
                                 all_accepting, complete, determinise,
                                 distinguishing_word, dual, eps_eliminate,
                                 erase_letter, includes, is_empty, minimise,
@@ -33,10 +33,18 @@ def test_validation():
         Nfa(AB, 1, frozenset({2}), frozenset(), frozenset())
     with pytest.raises(AutomatonError):
         Nfa(AB, 1, frozenset({0}), frozenset({(0, "c", 0)}), frozenset())
-    with pytest.raises(AutomatonError):
-        Dfa(AB, 2, 0, frozenset({(0, "a", 0), (0, "a", 1)}), frozenset())
-    with pytest.raises(AutomatonError):
-        Dfa(AB, 1, 0, frozenset({(0, EPS, 0)}), frozenset())
+
+
+def test_dfa_operations_refuse_a_nondeterministic_automaton():
+    dfa_operations = (complete, dual, minimise, lambda d: access_word(d, 0),
+                      lambda d: distinguishing_word(d, 0, 1))
+    for a in (nfa({(0, "a", 0), (0, "a", 1)}, set()),     # two successors on a
+              nfa({(0, EPS, 1)}, set()),                  # an epsilon transition
+              nfa(set(), set(), n=2, initial=(0, 1))):    # two initial states
+        assert a.delta is None
+        for operation in dfa_operations:
+            with pytest.raises(AutomatonError, match="not deterministic"):
+                operation(a)
 
 
 def test_accepts_and_eps():
@@ -53,18 +61,20 @@ def test_accepts_and_eps():
 def test_determinise_preserves_language():
     a = nfa({(0, "a", 0), (0, "a", 1), (1, "b", 2)}, {2})
     d = determinise(a)
-    assert lang(d.to_nfa()) == lang(a)
+    assert d.delta is not None and d.initial == {0}
+    assert lang(d) == lang(a)
     assert d.accepts(("a", "a", "b"))
 
 
 def test_complete_and_dual():
-    d = Dfa(AB, 2, 0, frozenset({(0, "a", 1)}), frozenset({1}))
+    d = Nfa(AB, 2, frozenset({0}), frozenset({(0, "a", 1)}), frozenset({1}))
     c = complete(d)
-    assert c.complete
-    assert lang(c.to_nfa()) == lang(d.to_nfa())
+    assert len(c.delta) == c.n_states * len(AB)
+    assert complete(c) is c
+    assert lang(c) == lang(d)
     dd = dual(d)
     universe = lang(all_accepting(AB))
-    assert lang(dd.to_nfa()) == universe - lang(d.to_nfa())
+    assert lang(dd) == universe - lang(d)
 
 
 def test_product_is_intersection():
@@ -121,11 +131,11 @@ def test_erase_letter():
 
 def test_minimise():
     # two equivalent accepting states collapse
-    d = Dfa(AB, 3, 0, frozenset({(0, "a", 1), (0, "b", 2),
-                                 (1, "a", 1), (2, "a", 2)}),
+    d = Nfa(AB, 3, frozenset({0}), frozenset({(0, "a", 1), (0, "b", 2),
+                                              (1, "a", 1), (2, "a", 2)}),
             frozenset({1, 2}))
     m = minimise(d)
-    assert lang(m.to_nfa()) == lang(d.to_nfa())
+    assert lang(m) == lang(d)
     assert m.n_states < complete(d).n_states
     # canonical numbering: minimising twice yields the identical automaton
     assert minimise(m) == m
@@ -154,8 +164,9 @@ def test_reachable():
 
 def test_access_and_distinguishing_words():
     # L = words over {a, b} whose number of a's is divisible by 3
-    d = Dfa(AB, 3, 0, frozenset((s, x, (s + 1) % 3 if x == "a" else s)
-                                for s in range(3) for x in AB), frozenset({0}))
+    d = Nfa(AB, 3, frozenset({0}), frozenset((s, x, (s + 1) % 3 if x == "a" else s)
+                                             for s in range(3) for x in AB),
+            frozenset({0}))
     assert access_word(d, 0) == ()
     assert access_word(d, 2) == ("a", "a")
     assert distinguishing_word(d, 1, 2) == ("a",)
@@ -205,9 +216,9 @@ def test_eps_eliminate_random(a):
 @settings(max_examples=60, deadline=None)
 def test_determinise_dual_random(a):
     d = determinise(a)
-    assert lang(d.to_nfa(), 4) == lang(a, 4)
+    assert lang(d, 4) == lang(a, 4)
     universe = lang(all_accepting(AB), 4)
-    assert lang(dual(d).to_nfa(), 4) == universe - lang(a, 4)
+    assert lang(dual(d), 4) == universe - lang(a, 4)
 
 
 @given(random_nfas, random_nfas)

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from chorcheck import oracle
+from chorcheck.automata import Nfa
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
                               is_p2p_execution_by_sequence, linearisations_p2p,
                               p2p_mscs_by_enumeration)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
-from chorcheck.semantics import (Event, Execution, ExecutionError,
+from chorcheck.semantics import (Cfsm, Event, Execution, ExecutionError,
                                  is_rsc_schedulable, local_alphabet,
                                  msc_of_execution, p2p_explore, p2p_mscs,
                                  recv_action, send_action, sync_explore)
@@ -32,6 +33,16 @@ def test_local_action_str():
 def test_local_alphabet(real):
     acts = local_alphabet(real.declaration, "q")
     assert set(map(str, acts)) == {"q?p:a", "q!r:b"}
+
+
+def test_cfsm_requires_a_deterministic_automaton():
+    send = send_action("p", "q", "m")
+    Cfsm("p", Nfa((send,), 2, {0}, {(0, send, 1)}, {1}))
+    for initial, transitions in (({0}, {(0, send, 0), (0, send, 1)}),
+                                 ({0, 1}, {(0, send, 1)}),
+                                 ({0}, {(0, None, 1)})):
+        with pytest.raises(ValueError, match="not deterministic"):
+            Cfsm("p", Nfa((send,), 2, initial, transitions, {1}))
 
 
 def test_execution_validation():
