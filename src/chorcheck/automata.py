@@ -406,22 +406,19 @@ def distinguishing_word(d: Nfa, p: int, q: int) -> tuple | None:
 
 
 def words(a: Nfa, max_len: int):
-    """Yield every accepted word of length <= max_len (depth-first)."""
+    """Yield every accepted word of length <= max_len (depth-first, letters
+    in alphabet order)."""
     if max_len < 0:
         raise ValueError(f"word length bound must be non-negative, got {max_len}")
     a = eps_eliminate(a)
-
-    def rec(states, prefix):
+    stack = [(a.eps_closure(a.initial), ())]
+    while stack:
+        states, prefix = stack.pop()
         if states & a.accepting:
-            yield tuple(prefix)
-        if len(prefix) == max_len:
-            return
-        for x in a.alphabet:
-            nxt = a.step(states, x)
-            if nxt:
-                yield from rec(nxt, prefix + [x])
-
-    yield from rec(a.eps_closure(a.initial), [])
+            yield prefix
+        if len(prefix) < max_len:
+            stack.extend(reversed([(nxt, prefix + (x,)) for x in a.alphabet
+                                   if (nxt := a.step(states, x))]))
 
 
 def all_accepting(alphabet) -> Nfa:

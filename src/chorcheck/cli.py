@@ -160,10 +160,7 @@ def cmd_verify_complement(args) -> int:
 
 def cmd_member(args) -> int:
     g = _load_gt(args.gt)
-    try:
-        m = parse_msc(args.msc, g.declaration)
-    except (ParseError, DeclarationError) as exc:
-        raise CliError(str(exc)) from None
+    m = parse_msc(args.msc, g.declaration)
     member = member_universal(g, m) if args.universal else member_existential(g, m)
     mode = "universal" if args.universal else "existential"
     payload = {"command": "member", "msc": _msc_json(m), "mode": mode,
@@ -429,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, help="bounded p2p reachability report")
     p.add_argument("gt")
-    p.add_argument("--model", choices=("p2p",), default="p2p")
     p.add_argument("--bound", type=_positive_int, default=2)
     p.add_argument("--max-events", type=_positive_int, default=8)
 

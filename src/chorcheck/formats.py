@@ -149,6 +149,11 @@ def _parse_states(p: _Parser):
             break
         p.next()
     p.expect("punct", ";")
+    names = [tok[1] for tok, _, _ in entries]
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        tok = next(t for t, _, _ in entries if t[1] == dup)
+        raise p.error(f"duplicate state name {dup!r}", tok)
     return entries
 
 
@@ -220,10 +225,6 @@ def parse_gt(text: str) -> GlobalType:
     if not state_entries and not transitions_raw:
         state_entries = [(("ident", "s0", 0), True, False)]
     names = [tok[1] for tok, _, _ in state_entries]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        tok = next(t for t, _, _ in state_entries if t[1] == dup)
-        raise p.error(f"duplicate state name {dup!r}", tok)
     index = {n: i for i, n in enumerate(names)}
 
     built: dict[tuple[str, str, str], Arrow] = {}  # in order of first use

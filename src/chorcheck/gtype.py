@@ -194,21 +194,28 @@ def dual_gt(g: GlobalType) -> GlobalType:
 
 
 def member_existential(g: GlobalType, m: Msc) -> bool:
-    """Does some linearisation of `m` belong to L(g)?"""
+    """Does some linearisation of `m` belong to L(g)?
+
+    Depth-first search over (state set, remaining trace) pairs, each
+    visited once, for an accepting state set with nothing left to read.
+    """
     a = eps_eliminate(g.automaton)
-    memo: dict = {}
-
-    def rec(states: frozenset, trace: Msc) -> bool:
+    seen = set()
+    stack = [(a.eps_closure(a.initial), m)]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        states, trace = node
         if not trace.word:
-            return bool(states & a.accepting)
-        key = (states, trace)
-        if key not in memo:
-            memo[key] = any(rec(nxt, next_msc(trace, (arrow,)))
-                            for arrow in minimal_arrows(trace)
-                            if (nxt := a.step(states, arrow)))
-        return memo[key]
-
-    return rec(a.eps_closure(a.initial), m)
+            if states & a.accepting:
+                return True
+            continue
+        stack.extend(reversed([(nxt, next_msc(trace, (arrow,)))
+                               for arrow in minimal_arrows(trace)
+                               if (nxt := a.step(states, arrow))]))
+    return False
 
 
 def member_universal(g: GlobalType, m: Msc) -> bool:
@@ -226,17 +233,14 @@ def member_existential_via_next(g: GlobalType, m: Msc) -> bool:
     if not is_commutation_deterministic(g):
         raise ClassificationError("recursion requires commutation-determinism")
     a = g.automaton
-
-    def rec(state: int, trace: Msc) -> bool:
-        if len(trace) == 0:
-            return state in a.accepting
+    state, trace = next(iter(a.initial)), m
+    while len(trace):
         cs = choices(g, state)
         arrow = next_arrow(trace, cs)
         if arrow is None:
             return False
-        rest = next_msc(trace, cs)
-        if rest is None:
+        trace = next_msc(trace, cs)
+        if trace is None:
             return False
-        return rec(a.delta[(state, arrow)], rest)
-
-    return rec(next(iter(a.initial)), m)
+        state = a.delta[(state, arrow)]
+    return state in a.accepting

@@ -386,7 +386,8 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     """MSCs of all explored p2p executions with at most `max_events` events.
 
     Returns (dict from each P2pMsc to the first execution found with it,
-    bound_hit).  The search is memoised on (configuration, MSC): two
+    bound_hit).  The search is depth-first over an explicit stack (its depth
+    grows with `max_events`) and memoised on (configuration, MSC): two
     interleavings of the same behaviour are explored once.
     """
     if bound < 1:
@@ -404,23 +405,25 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     # per-process label tuples (in `procs` order), `matching` the matched
     # (send node, receive node) pairs, and `pending`, per channel, the
     # (event index, node) of each send in transit.
-    def rec(cfg, pending, labels, matching, events):
-        nonlocal bound_hit
+    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), ())]
+    while stack:
+        cfg, pending, labels, matching, events = stack.pop()
         m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
         # the continuation depends only on the configuration and the MSC,
         # not on which interleaving produced it
         key = (cfg, m)
         if key in seen:
-            return
+            continue
         seen.add(key)
         if m not in mscs:
-            mscs[m] = Execution(tuple(events))
+            mscs[m] = Execution(events)
         enabled, blocked_by_bound = steps(cfg)
         if len(events) >= max_events:
             if enabled:
                 bound_hit = True  # truncated by the event budget, not exhausted
-            return
+            continue
         bound_hit = bound_hit or blocked_by_bound
+        children = []
         for act, ch, nxt in enabled:
             k = pidx[act.process]
             node = (act.process, len(labels[k]))
@@ -435,7 +438,7 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
                 (j, send), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
                 new_matching = matching | {(send, node)}
                 ev = Event(False, act.peer, act.process, act.message, match=j)
-            rec(nxt, tuple(new_pending), tuple(new_labels), new_matching, events + [ev])
-
-    rec(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), [])
+            children.append((nxt, tuple(new_pending), tuple(new_labels), new_matching,
+                             events + (ev,)))
+        stack.extend(reversed(children))  # the first step is explored first
     return mscs, bound_hit

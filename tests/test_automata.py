@@ -181,6 +181,12 @@ def test_words_enumeration():
     # a negative bound is refused rather than recursing without end
     with pytest.raises(ValueError, match="non-negative"):
         next(words(a, -1))
+    # depth first, letters in alphabet order
+    assert list(words(all_accepting(AB), 2)) == [
+        (), ("a",), ("a", "a"), ("a", "b"), ("b",), ("b", "a"), ("b", "b")]
+    # the search depth is not limited by Python's recursion limit
+    loop = all_accepting(("a",))
+    assert [len(w) for w in words(loop, 1500)] == list(range(1501))
 
 
 letters = st.sampled_from(AB)

@@ -155,6 +155,43 @@ def test_simulate(capsys):
                              "--bound", "2")
     assert code == 0
     assert not payload["deadlocks"]
+    assert payload["model"] == "p2p"
+    # p2p is the only model, so there is no option to choose it
+    assert main(["simulate", REAL, "--model", "p2p"]) == 2
+    assert "unrecognized arguments: --model" in capsys.readouterr().err
+
+
+LOOP = """gtype loop {
+  processes: p, q;
+  messages: m;
+  states: s0*+;
+  s0 -- p->q:m --> s0;
+}
+"""
+
+
+def test_input_sized_searches_end_in_a_verdict(capsys, tmp_path):
+    # searches deeper than Python's recursion limit (1,000 frames) end in a
+    # verdict, not in a RecursionError; a recursive search overflows on both
+    loop = tmp_path / "loop.gt"
+    loop.write_text(LOOP)
+    assert main(["simulate", str(loop), "--bound", "1", "--max-events", "1000"]) == 3
+    assert "bound hit" in capsys.readouterr().out
+    msc = ";".join(["p->q:m1"] * 500)
+    for extra in ([], ["--universal"]):
+        code, out = run(capsys, "member", G0, "--msc", msc, *extra)
+        assert code == 0, extra
+        assert "member: True" in out
+
+
+def test_cfsm_with_a_duplicate_state_name_is_refused(capsys, tmp_path):
+    path = tmp_path / "dup.cfsm"
+    path.write_text("cfsm m of p {\n  processes: p, q;\n  messages: m;\n"
+                    "  states: a*, a+;\n  a -- p!q:m --> a;\n}\n")
+    assert main(["dot", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: 4:11: duplicate state name 'a'\n"
 
 
 def test_dot(capsys):
