@@ -200,21 +200,28 @@ def member_existential(g: GlobalType, m: Msc) -> bool:
     visited once, for an accepting state set with nothing left to read.
     """
     a = eps_eliminate(g.automaton)
+
+    def children(states, trace):
+        for arrow in minimal_arrows(trace):
+            if nxt := a.step(states, arrow):
+                yield nxt, next_msc(trace, (arrow,))
+
+    # a stack of child iterators: a child's trace is built only when the
+    # search reaches it, so an early accept skips its siblings
     seen = set()
-    stack = [(a.eps_closure(a.initial), m)]
+    stack = [iter([(a.eps_closure(a.initial), m)])]
     while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        states, trace = node
-        if not trace.word:
-            if states & a.accepting:
-                return True
-            continue
-        stack.extend(reversed([(nxt, next_msc(trace, (arrow,)))
-                               for arrow in minimal_arrows(trace)
-                               if (nxt := a.step(states, arrow))]))
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif node not in seen:
+            seen.add(node)
+            states, trace = node
+            if not trace.word:
+                if states & a.accepting:
+                    return True
+            else:
+                stack.append(children(states, trace))
     return False
 
 
