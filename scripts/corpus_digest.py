@@ -3,11 +3,12 @@
 Runs `chorcheck.cli.main` in-process on every entry of
 `bench/data/recorded.json` (which it only reads) and prints one line per
 command: the number of runs and a sha256 over their stdout, exit codes and
-any file written with `-o` (stderr is not digested).  Two checkouts that print the same digests
-gave byte-identical output.  Each line ends in `ok` when its digest equals
-the one committed in `EXPECTED` and in `CHANGED` when it does not; the
-script exits 1 when any line changed.  A change that moves the output on
-purpose updates `EXPECTED` in the same commit.  The commands are:
+any file written with `-o` (stderr is not digested).  Two checkouts that
+print the same digests gave byte-identical output.  Each line ends in `ok`
+when its digest equals the one committed in `EXPECTED` and in `CHANGED`
+when it does not; the script exits 1 when any line changed.  A change that
+moves the output on purpose updates `EXPECTED` in the same commit.  The
+commands are:
 
 - p2p: `realisable --model p2p` and `--model synch` (with the entry's
   complement) and `simulate`;

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chorcheck import oracle
-from chorcheck.automata import Nfa
+from chorcheck.automata import EPS, Nfa
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
                               is_p2p_execution_by_sequence, linearisations_p2p,
@@ -40,7 +40,7 @@ def test_cfsm_requires_a_deterministic_automaton():
     Cfsm("p", Nfa((send,), 2, {0}, {(0, send, 1)}, {1}))
     for initial, transitions in (({0}, {(0, send, 0), (0, send, 1)}),
                                  ({0, 1}, {(0, send, 1)}),
-                                 ({0}, {(0, None, 1)})):
+                                 ({0}, {(0, EPS, 1)})):
         with pytest.raises(ValueError, match="not deterministic"):
             Cfsm("p", Nfa((send,), 2, initial, transitions, {1}))
 
