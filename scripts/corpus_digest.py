@@ -14,7 +14,10 @@ commands are:
   complement) and `simulate`;
 - closure: `classify` and `complement --method auto`;
 - complement-law: `complement --method auto -o`, then
-  `verify-complement --max-events 6` on the file written, the `member`
+  `verify-complement --max-events 6` on the file written; `complement
+  --method cartesian -o`, then `verify-complement --max-events 5` of the
+  type against the file written and against itself (so that violations,
+  and their order, are digested too); the `member`
   queries against `member_types` (`--universal` too where the entry asks),
   `project -o --json`, then `dot` on each `.cfsm` file written, `dot
   --json`, and `complement --json` with each explicit method (a method
@@ -51,6 +54,7 @@ CLOSURE_COMMANDS = (
     ("complement", ("--method", "auto", "--json")),
 )
 LAW_MAX_EVENTS = "6"
+LAW_VIOLATION_MAX_EVENTS = "5"
 LAW_COMPLEMENT_METHODS = ("dual", "renunciation", "cartesian")
 
 # sha256 of each line's output, by line label
@@ -69,6 +73,9 @@ EXPECTED = {
         "c891c56eb8a2b1b9a2855e0b1fabee52dd53a6d35ece4e895b1a1eae99451eb6",
     "complement-law verify-complement --max-events 6 --json":
         "7e45e1fc1c6cfd7b3997a60259e37143e1ea33dc20e8b835c3dbbc942cfe6168",
+    "complement-law verify-complement --max-events 5 --json against the Cartesian "
+    "candidate and itself":
+        "fe2be83f2a721eab969396296d8fce5800a559c0fbcefa67ff7e9ef8ac871be8",
     "complement-law member --json":
         "d3986637f9c09e350e75147b67a695bea2449b10bd50667e78ade15a4fc0697d",
     "complement-law project -o --json":
@@ -150,6 +157,17 @@ def main() -> int:
             f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} --json", [
                 (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS,
                   "--json"], None) for gt, comp in law]))
+        runs = []
+        for gt, _ in law:
+            cart = Path(gt).with_suffix(".cartesian.gt")
+            runs.append((["complement", gt, "--method", "cartesian", "-o", str(cart),
+                          "--json"], cart))
+            runs += [(["verify-complement", gt, other, "--max-events",
+                       LAW_VIOLATION_MAX_EVENTS, "--json"], None)
+                     for other in (str(cart), gt)]
+        same.append(digest_line(
+            f"complement-law verify-complement --max-events {LAW_VIOLATION_MAX_EVENTS} "
+            "--json against the Cartesian candidate and itself", runs))
 
         types = {(name, side): write(f"{name}.{side}", entry[side])
                  for name, entry in recorded["member_types"].items()

@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automata import Nfa, _restrict, reachable
-from .gtype import (ClassificationError, GlobalType, choices, determinise_gt,
-                    dual_gt, is_commutation_closed, is_commutation_deterministic,
-                    is_deterministic, participant_count, project, sync_product)
-from .trace import commute
+from .gtype import (ClassificationError, DeclarationMismatchError, GlobalType,
+                    choices, determinise_gt, dual_gt, is_commutation_closed,
+                    is_commutation_deterministic, is_deterministic,
+                    participant_count, project, sync_product)
+from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD,
+                    Declaration, Msc, SizeLimitError, _insert, _insertion_point,
+                    commute)
 
 
 class NoComplementMethodError(Exception):
@@ -181,12 +184,86 @@ class ComplementReport:
         return not self.violations
 
 
-def verify_complement(g: GlobalType, gbar: GlobalType, max_events: int) -> ComplementReport:
-    """Check the complement law on every canonical MSC with <= max_events events."""
-    from .gtype import DeclarationMismatchError
-    from .oracle import xor_check
+def _canonical_universe(declaration: Declaration, max_events: int) -> list[tuple[int, ...]]:
+    """Every normal form with at most `max_events` arrows, by arrow index.
 
-    if g.declaration != gbar.declaration:
+    A normal form extended by arrow a is a normal form exactly when every
+    arrow in its trailing run of arrows commuting with a has a smaller
+    index than a, so each candidate costs one insertion-point walk.
+    """
+    n_arrows = len(declaration.arrows)
+    if n_arrows > DEFAULT_MAX_ARROWS:
+        raise SizeLimitError(f"{n_arrows} arrows exceeds the limit {DEFAULT_MAX_ARROWS}")
+    if max_events > DEFAULT_MAX_EVENTS:
+        raise SizeLimitError(f"bound {max_events} exceeds the limit {DEFAULT_MAX_EVENTS}")
+    commutes = declaration.commutes
+    universe = [()]
+    frontier = [()]
+    for _ in range(max_events):
+        nxt = []
+        for trace in frontier:
+            end = len(trace)
+            nxt += [trace + (a,) for a in range(n_arrows)
+                    if _insertion_point(trace, a, commutes) == end]
+            if len(universe) + len(nxt) > DEFAULT_MEMORY_GUARD:
+                raise SizeLimitError(
+                    f"canonical-MSC count exceeds the guard {DEFAULT_MEMORY_GUARD}")
+        universe += nxt
+        frontier = nxt
+    return universe
+
+
+def _existential_traces(g: GlobalType, max_events: int) -> set[tuple[int, ...]]:
+    """Normal forms, by arrow index, of the words of L(g) with at most
+    `max_events` arrows.
+
+    The search runs level by level over (state set, normal form) pairs:
+    the words that reach one pair have the same continuations, so each
+    pair is extended once, however many words reach it.
+    """
+    if max_events < 0:
+        raise ValueError(f"word length bound must be non-negative, got {max_events}")
+    a = g.automaton
+    arrows = g.declaration.arrows
+    commutes = g.declaration.commutes
+    moves: dict[frozenset, list] = {}  # state set -> [(arrow index, state set)]
+    level = {(a.eps_closure(a.initial), ())}
+    found = set()
+    for depth in range(max_events + 1):
+        nxt = set()
+        for states, trace in level:
+            if states & a.accepting:
+                found.add(trace)
+            if depth == max_events:
+                continue
+            out = moves.get(states)
+            if out is None:
+                out = moves[states] = [(i, t) for i, x in enumerate(arrows)
+                                       if (t := a.step(states, x))]
+            for i, t in out:
+                nxt.add((t, _insert(trace, i, commutes)))
+        level = nxt
+    return found
+
+
+def verify_complement(g: GlobalType, gbar: GlobalType, max_events: int) -> ComplementReport:
+    """Check the complement law on every canonical MSC with <= max_events events.
+
+    `oracle.xor_check` is the brute-force reference: it gives the same
+    universe size and the same violations in the same order.
+    """
+    decl = g.declaration
+    if decl != gbar.declaration:
         raise DeclarationMismatchError("complement verification requires one declaration")
-    universe_size, violations = xor_check(g, gbar, max_events)
-    return ComplementReport(max_events, universe_size, violations)
+    universe = _canonical_universe(decl, max_events)
+    in_g = _existential_traces(g, max_events)
+    in_gbar = _existential_traces(gbar, max_events)
+    found = [(t, "both") for t in in_g & in_gbar]
+    found += [(t, "neither") for t in universe if t not in in_g and t not in in_gbar]
+    # order of the brute force: by length, then by the words under Arrow's order
+    arrows = decl.arrows
+    ranked = sorted(arrows)
+    rank = [ranked.index(a) for a in arrows]
+    found.sort(key=lambda v: (len(v[0]), [rank[i] for i in v[0]]))
+    violations = [(Msc(tuple(arrows[i] for i in t), decl), kind) for t, kind in found]
+    return ComplementReport(max_events, len(universe), violations)

@@ -17,12 +17,8 @@ from .automata import Nfa, eps_eliminate, words
 from .realisability import Status, check_p2p_realisable
 from .semantics import (Event, Execution, P2pMsc, System, _successors,
                         msc_of_execution, p2p_mscs)
-from .trace import Declaration, Msc, SizeLimitError, is_normal_form, msc_of
-
-
-DEFAULT_MAX_ARROWS = 8
-DEFAULT_MAX_EVENTS = 8
-DEFAULT_MEMORY_GUARD = 10**6
+from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD,
+                    Declaration, Msc, SizeLimitError, is_normal_form, msc_of)
 
 
 def enumerate_canonical(declaration: Declaration, max_events: int,
@@ -92,12 +88,14 @@ class ProfileReport:
 
 
 def count_profile_check(language: Nfa, declaration: Declaration, predicate,
-                        max_len: int, arrows=None) -> ProfileReport:
+                        max_len: int, arrows=None,
+                        memory_guard: int = DEFAULT_MEMORY_GUARD) -> ProfileReport:
     """Check `predicate(k1, k2, k3)` on every accepted block-shaped word.
 
     A word is block-shaped when its trace equals the trace of
     a1^k1 a2^k2 a3^k3.  The role triple (a1, a2, a3) defaults to the three
-    declared arrows ordered by message declaration position.
+    declared arrows ordered by message declaration position.  Checking more
+    than `memory_guard` accepted words raises SizeLimitError.
     """
     if arrows is None:
         midx = {m: i for i, m in enumerate(declaration.messages)}
@@ -110,6 +108,8 @@ def count_profile_check(language: Nfa, declaration: Declaration, predicate,
     violations = []
     for w in words(nfa, max_len):
         checked += 1
+        if checked > memory_guard:
+            raise SizeLimitError(f"accepted-word count exceeds the guard {memory_guard}")
         counts = (w.count(a1), w.count(a2), w.count(a3))
         block = (a1,) * counts[0] + (a2,) * counts[1] + (a3,) * counts[2]
         if msc_of(w, declaration) != msc_of(block, declaration):

@@ -388,7 +388,8 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     Returns (dict from each P2pMsc to the first execution found with it,
     bound_hit).  The search is depth-first over an explicit stack (its depth
     grows with `max_events`) and memoised on (configuration, MSC): two
-    interleavings of the same behaviour are explored once.
+    interleavings of the same behaviour are explored once.  The steps of
+    each configuration are computed once per call.
     """
     if bound < 1:
         raise ValueError("channel bound must be >= 1")
@@ -400,6 +401,7 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     mscs = {}
     bound_hit = False
     seen = set()
+    steps_of = {}  # configuration -> steps(configuration)
 
     # Each node extends its parent's MSC by one event: `labels` holds the
     # per-process label tuples (in `procs` order), `matching` the matched
@@ -417,7 +419,9 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
         seen.add(key)
         if m not in mscs:
             mscs[m] = Execution(events)
-        enabled, blocked_by_bound = steps(cfg)
+        if cfg not in steps_of:
+            steps_of[cfg] = steps(cfg)
+        enabled, blocked_by_bound = steps_of[cfg]
         if len(events) >= max_events:
             if enabled:
                 bound_hit = True  # truncated by the event budget, not exhausted

@@ -10,12 +10,19 @@ tuple operations.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 
 class SizeLimitError(Exception):
     """An enumeration would exceed a caller-supplied size limit."""
+
+
+# Limits of the bounded enumerations of canonical traces
+DEFAULT_MAX_ARROWS = 8
+DEFAULT_MAX_EVENTS = 8
+DEFAULT_MEMORY_GUARD = 10**6
 
 
 class CommutingChoicesError(ValueError):
@@ -101,22 +108,44 @@ class Declaration:
     def arrow_index(self) -> dict[Arrow, int]:
         return {a: i for i, a in enumerate(self.arrows)}
 
+    @cached_property
+    def commutes(self) -> tuple[tuple[bool, ...], ...]:
+        """`commutes[i][j]`: the arrows at positions i and j of `arrows` commute."""
+        return tuple(tuple(commute(a, b) for b in self.arrows) for a in self.arrows)
 
-def _normal_form(word, index) -> tuple[Arrow, ...]:
+
+def _insertion_point(trace: Sequence[int], a: int, commutes) -> int:
     # A word is the lex-least linearisation of its trace iff it has no
     # factor b·u·a with a < b and a independent of b and of every letter of
-    # u (Anisimov-Knuth).  So each arrow a is inserted into the normal form
-    # built so far: left past the trailing arrows that commute with a, then
-    # right past those of them that precede a in the declaration order.
-    out: list[Arrow] = []
+    # u (Anisimov-Knuth).  So arrow a goes left past the trailing arrows of
+    # the normal form that commute with it, then right past those of them
+    # that precede it in the declaration order.
+    row = commutes[a]
+    i = n = len(trace)
+    while i and row[trace[i - 1]]:
+        i -= 1
+    while i < n and trace[i] < a:
+        i += 1
+    return i
+
+
+def _insert(trace: tuple[int, ...], a: int, commutes) -> tuple[int, ...]:
+    """The normal form of `trace` followed by arrow `a`, where `trace` is a
+    normal form and arrows are positions in the declaration's `arrows`."""
+    i = _insertion_point(trace, a, commutes)
+    return trace[:i] + (a,) + trace[i:]
+
+
+def _normal_form(word, declaration: Declaration) -> tuple[Arrow, ...]:
+    # the fold of `_insert`, on one list rather than a tuple per letter
+    index = declaration.arrow_index
+    commutes = declaration.commutes
+    trace: list[int] = []
     for a in word:
-        i = len(out)
-        while i and commute(out[i - 1], a):
-            i -= 1
-        while i < len(out) and index[out[i]] < index[a]:
-            i += 1
-        out.insert(i, a)
-    return tuple(out)
+        i = index[a]
+        trace.insert(_insertion_point(trace, i, commutes), i)
+    arrows = declaration.arrows
+    return tuple(arrows[i] for i in trace)
 
 
 @dataclass(frozen=True)
@@ -143,11 +172,11 @@ def msc_of(word, declaration: Declaration) -> Msc:
     for a in word:
         if a not in index:
             raise DeclarationError(f"arrow {a} not in the declared alphabet")
-    return Msc(_normal_form(word, index), declaration)
+    return Msc(_normal_form(word, declaration), declaration)
 
 
 def is_normal_form(word, declaration: Declaration) -> bool:
-    return tuple(word) == _normal_form(word, declaration.arrow_index)
+    return tuple(word) == _normal_form(word, declaration)
 
 
 def minimal_arrows(m: Msc) -> frozenset[Arrow]:

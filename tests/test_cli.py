@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -231,6 +232,16 @@ def test_oracle_count_profile(capsys):
     code, payload = run_json(capsys, "oracle_count_profile", "oracle",
                              "count-profile", BRANCH, "--predicate", "k1>k2")
     assert code == 0 and payload["passed"] is True
+
+
+def test_oracle_count_profile_over_word_budget_is_unknown(capsys, monkeypatch):
+    from chorcheck import cli, oracle
+
+    monkeypatch.setattr(cli, "count_profile_check",
+                        functools.partial(oracle.count_profile_check, memory_guard=5))
+    assert main(["oracle", "count-profile", BRANCH]) == 3
+    err = capsys.readouterr().err
+    assert "exceeds the guard 5" in err and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

@@ -1,7 +1,9 @@
+import contextlib
 import random
 
 import pytest
 
+from chorcheck.automata import EPS, Nfa
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian, complement_dual,
                                   complement_renunciation,
@@ -9,10 +11,11 @@ from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   renunciation_unpruned_state_count,
                                   verify_complement)
 from chorcheck.gtype import (ClassificationError, DeclarationMismatchError,
-                             is_commutation_closed, member_existential)
-from chorcheck.oracle import bounded_existential, enumerate_canonical
-from chorcheck.randomgen import random_commutation_deterministic
-from chorcheck.trace import msc_of
+                             GlobalType, is_commutation_closed, member_existential)
+from chorcheck.oracle import bounded_existential, enumerate_canonical, xor_check
+from chorcheck.randomgen import (random_commutation_deterministic, random_declaration,
+                                 random_global_type, random_three_process_deterministic)
+from chorcheck.trace import Declaration, msc_of
 
 
 def test_renunciation_g_sd_membership(g_sd, gsd_arrows):
@@ -124,3 +127,46 @@ def test_random_renunciation_complements():
         n = g.automaton.n_states
         assert (renunciation_unpruned_state_count(g)
                 <= 2 * n * (1 + len(g.declaration.arrows)) + 1)
+
+
+def _reversed_declaration(g):
+    """g with its processes and messages declared in reverse order, so that
+    the declaration order of its arrows differs from Arrow's own order."""
+    d = g.declaration
+    decl = Declaration(d.processes[::-1], d.messages[::-1], d.arrows)
+    a = g.automaton
+    return GlobalType(decl, Nfa(decl.arrows, a.n_states, a.initial, a.transitions,
+                                a.accepting), g.name)
+
+
+def _with_epsilon(g, rng):
+    a = g.automaton
+    eps = {(rng.randrange(a.n_states), EPS, rng.randrange(a.n_states)) for _ in range(2)}
+    return g.with_automaton(Nfa(a.alphabet, a.n_states, a.initial, a.transitions | eps,
+                                a.accepting))
+
+
+def test_verify_complement_matches_xor_check():
+    # complement-law types (commutation-deterministic and 3-process
+    # deterministic) and a nondeterministic type with epsilon moves, each in
+    # both declaration orders, against its complement, its Cartesian
+    # candidate and itself
+    rng = random.Random(23)
+    types = [random_commutation_deterministic(rng, max_states=4, max_arrows=4),
+             random_three_process_deterministic(rng)]
+    decl = random_declaration(rng, 4, 2, 3)
+    types.append(_with_epsilon(random_global_type(rng, decl, 3, deterministic=False), rng))
+    kinds = set()
+    for g in types + [_reversed_declaration(g) for g in types]:
+        candidates = [g, complement_cartesian(g).gtype]
+        with contextlib.suppress(NoComplementMethodError):
+            candidates.append(complement_auto(g).gtype)
+        for gbar in candidates:
+            for n in range(7):
+                report = verify_complement(g, gbar, n)
+                universe_size, violations = xor_check(g, gbar, n)
+                assert report.universe_size == universe_size
+                assert ([(m.word, kind) for m, kind in report.violations]
+                        == [(m.word, kind) for m, kind in violations]), (g, gbar, n)
+                kinds.update(kind for _, kind in violations)
+    assert kinds == {"both", "neither"}

@@ -103,6 +103,17 @@ def test_count_profile_branch(branch):
     assert report.profile_words > 0
 
 
+def test_count_profile_word_budget(branch):
+    def check(**kw):
+        return count_profile_check(branch.automaton, branch.declaration,
+                                   lambda k1, k2, k3: k1 > k2, 8, **kw)
+
+    full = check()
+    assert check(memory_guard=full.checked_words) == full
+    with pytest.raises(SizeLimitError, match="exceeds the guard"):
+        check(memory_guard=full.checked_words - 1)
+
+
 def test_count_profile_g0_trivial(g0):
     report = count_profile_check(g0.automaton, g0.declaration,
                                  lambda *k: True, 6)
