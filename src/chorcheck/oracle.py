@@ -88,14 +88,14 @@ class ProfileReport:
 
 
 def count_profile_check(language: Nfa, declaration: Declaration, predicate,
-                        max_len: int, arrows=None,
-                        memory_guard: int = DEFAULT_MEMORY_GUARD) -> ProfileReport:
+                        max_len: int, arrows=None) -> ProfileReport:
     """Check `predicate(k1, k2, k3)` on every accepted block-shaped word.
 
     A word is block-shaped when its trace equals the trace of
     a1^k1 a2^k2 a3^k3.  The role triple (a1, a2, a3) defaults to the three
     declared arrows ordered by message declaration position.  Checking more
-    than `memory_guard` accepted words raises SizeLimitError.
+    than DEFAULT_MEMORY_GUARD accepted words raises SizeLimitError; the
+    guard bounds the word count, not the time, which grows with word length.
     """
     if arrows is None:
         midx = {m: i for i, m in enumerate(declaration.messages)}
@@ -108,8 +108,9 @@ def count_profile_check(language: Nfa, declaration: Declaration, predicate,
     violations = []
     for w in words(nfa, max_len):
         checked += 1
-        if checked > memory_guard:
-            raise SizeLimitError(f"accepted-word count exceeds the guard {memory_guard}")
+        if checked > DEFAULT_MEMORY_GUARD:
+            raise SizeLimitError(
+                f"accepted-word count exceeds the guard {DEFAULT_MEMORY_GUARD}")
         counts = (w.count(a1), w.count(a2), w.count(a3))
         block = (a1,) * counts[0] + (a2,) * counts[1] + (a3,) * counts[2]
         if msc_of(w, declaration) != msc_of(block, declaration):

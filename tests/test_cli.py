@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import os
 import subprocess
@@ -235,10 +234,9 @@ def test_oracle_count_profile(capsys):
 
 
 def test_oracle_count_profile_over_word_budget_is_unknown(capsys, monkeypatch):
-    from chorcheck import cli, oracle
+    from chorcheck import oracle
 
-    monkeypatch.setattr(cli, "count_profile_check",
-                        functools.partial(oracle.count_profile_check, memory_guard=5))
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_GUARD", 5)
     assert main(["oracle", "count-profile", BRANCH]) == 3
     err = capsys.readouterr().err
     assert "exceeds the guard 5" in err and "Traceback" not in err

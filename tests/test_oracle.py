@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from chorcheck import oracle
 from chorcheck.automata import Nfa
 from chorcheck.gtype import determinise_gt
 from chorcheck.oracle import (bounded_existential, count_profile_check,
@@ -103,15 +104,17 @@ def test_count_profile_branch(branch):
     assert report.profile_words > 0
 
 
-def test_count_profile_word_budget(branch):
-    def check(**kw):
+def test_count_profile_word_budget(branch, monkeypatch):
+    def check():
         return count_profile_check(branch.automaton, branch.declaration,
-                                   lambda k1, k2, k3: k1 > k2, 8, **kw)
+                                   lambda k1, k2, k3: k1 > k2, 8)
 
     full = check()
-    assert check(memory_guard=full.checked_words) == full
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_GUARD", full.checked_words)
+    assert check() == full
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_GUARD", full.checked_words - 1)
     with pytest.raises(SizeLimitError, match="exceeds the guard"):
-        check(memory_guard=full.checked_words - 1)
+        check()
 
 
 def test_count_profile_g0_trivial(g0):
