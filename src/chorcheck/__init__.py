@@ -15,8 +15,7 @@ from .gtype import (Classification, GlobalType, classify, gt_product,
 from .realisability import (P2pVerdict, Status, SynchVerdict,
                             check_p2p_realisable, check_sync_realisable)
 from .semantics import (Cfsm, Event, Execution, LocalAction, P2pMsc, System,
-                        is_rsc_schedulable, msc_of_execution, p2p_explore,
-                        p2p_mscs)
+                        msc_of_execution, p2p_explore, p2p_mscs)
 from .trace import (Arrow, Declaration, Msc, commute, linearisations,
                     minimal_arrows, msc_of, next_arrow, next_msc, parse_arrow)
 

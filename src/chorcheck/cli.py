@@ -25,7 +25,7 @@ from .gtype import (ClassificationError, DeclarationMismatchError, GlobalType,
 from .oracle import count_profile_check, enumerate_canonical
 from .realisability import (Status, check_p2p_realisable,
                             check_sync_realisable)
-from .semantics import is_rsc_schedulable, p2p_explore, p2p_mscs
+from .semantics import p2p_explore, p2p_mscs
 from .trace import DeclarationError, Msc, SizeLimitError
 
 EXIT_HOLDS = 0
@@ -251,12 +251,7 @@ def cmd_simulate(args) -> int:
     g = _load_gt(args.gt)
     system = project(g)
     report = p2p_explore(system, args.bound)
-    mscs, mscs_bound_hit = p2p_mscs(system, args.bound, args.max_events)
-    rsc_violations = []
-    for m in mscs:
-        ok, _ = is_rsc_schedulable(m)
-        if not ok:
-            rsc_violations.append(m)
+    _, mscs_bound_hit, rsc_violations = p2p_mscs(system, args.bound, args.max_events)
 
     def cfg_json(cfg):
         return {

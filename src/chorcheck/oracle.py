@@ -3,9 +3,9 @@
 Everything here enumerates: canonical traces over a small arrow alphabet,
 bounded existential MSC languages, the xor complement law, the
 count-profile characterisation used by the non-complementability fixture,
-the bounded p2p executions with their MSCs, and the linearisations and FIFO
-checks of p2p MSCs.  These are the oracles the cleverer constructions are
-tested against; no verdict uses them.
+the bounded p2p executions with their MSCs, and the linearisations and
+FIFO and RSC checks of p2p MSCs.  These are the oracles the cleverer
+constructions are tested against; no verdict uses them.
 """
 
 from __future__ import annotations
@@ -188,6 +188,40 @@ def linearisations_p2p(m: P2pMsc, limit: int = 10) -> list[Execution]:
     return results
 
 
+def is_rsc_schedulable(m: P2pMsc) -> tuple[bool, Execution | None]:
+    """Can every receive be scheduled immediately after its send?
+
+    The reference for the RSC check that `semantics.p2p_mscs` carries
+    through its search.  Matched pairs are scheduled as atomic blocks,
+    unmatched sends as unit blocks.  The MSC is RSC exactly when the order
+    between blocks is acyclic (Charron-Bost, Mattern and Tel 1996), so any
+    ready block can go next: the first one is taken until every block is
+    scheduled or none is ready.  True exactly when the MSC is a prefix of a
+    synchronous MSC; the schedule is returned as an execution.
+    """
+    match_of = dict(m.matching)  # send -> recv
+    preds = m.predecessors
+    remaining = [(node, match_of.get(node)) for node in preds if m.label(node)[0]]
+    done = set()
+    schedule: list[Event] = []
+    while remaining:
+        for k, (send, recv) in enumerate(remaining):
+            members = (send,) if recv is None else (send, recv)
+            if all(pred in done or pred in members
+                   for node in members for pred in preds[node]):
+                break
+        else:
+            return False, None
+        del remaining[k]
+        p, _ = send
+        _, peer, message = m.label(send)
+        schedule.append(Event(True, p, peer, message))
+        if recv is not None:
+            schedule.append(Event(False, p, recv[0], message, match=len(schedule) - 1))
+        done.update(members)
+    return True, Execution(tuple(schedule))
+
+
 def is_p2p_execution(e: Execution) -> bool:
     """FIFO validity, phrased on the MSC partial order.
 
@@ -237,7 +271,8 @@ def p2p_mscs_by_enumeration(system: System, bound: int, max_events: int = 8):
     send by scanning the events, and each MSC is built from scratch.
 
     Returns the same (dict from MSC to the first execution found with it,
-    bound_hit) pair, in the same depth-first order.
+    bound_hit, non_rsc) triple, in the same depth-first order, with each
+    MSC's RSC-ness decided by `is_rsc_schedulable`.
     """
     _, init, steps = _successors(system, bound)
     mscs = {}
@@ -266,7 +301,7 @@ def p2p_mscs_by_enumeration(system: System, bound: int, max_events: int = 8):
             rec(nxt, events + (ev,))
 
     rec(init, ())
-    return mscs, bound_hit
+    return mscs, bound_hit, [m for m in mscs if not is_rsc_schedulable(m)[0]]
 
 
 @dataclass
@@ -288,7 +323,7 @@ def check_causal_closure(system: System, bound: int,
     so it runs once per MSC; each linearisation is checked on its event
     sequence.
     """
-    mscs, _ = p2p_mscs(system, bound, max_events)
+    mscs, _, _ = p2p_mscs(system, bound, max_events)
     violations = []
     n_lins = 0
     for m, e in mscs.items():

@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import automata
 from .gtype import (DeclarationMismatchError, GlobalType, project, sync_product)
-from .semantics import is_rsc_schedulable, p2p_explore, p2p_mscs
+from .semantics import p2p_explore, p2p_mscs
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     """The four-condition reduction to synchronous realisability.
 
     Conditions 1-3 come from one bounded-channel exploration and read
-    `unknown` when it was cut short; condition 4 is exact.
+    `unknown` when it was cut short; condition 4 is exact.  Condition 1
+    fails on the first non-RSC MSC that `p2p_mscs` found, which decides
+    RSC-ness while it explores.
 
     Condition 3 asks that each MSC of g's accept-completion (g trimmed, with
     every state accepting) be a prefix of an MSC of g.  Within a bound and
@@ -104,14 +106,11 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     # first, so that a declaration mismatch is raised before any exploration
     synch = check_sync_realisable(g, gbar)
     system = project(g)
-    mscs, bound_hit = p2p_mscs(system, bound, max_events)
+    _, bound_hit, non_rsc = p2p_mscs(system, bound, max_events)
 
     cond1 = cond3 = Condition(Status.UNKNOWN if bound_hit else Status.HOLDS)
-    for m in mscs:
-        ok, _ = is_rsc_schedulable(m)
-        if not ok:
-            cond1 = Condition(Status.FAILS, m)
-            break
+    if non_rsc:
+        cond1 = Condition(Status.FAILS, non_rsc[0])
 
     report = p2p_explore(system, bound)
     if report.orphans:

@@ -249,38 +249,6 @@ def msc_of_execution(e: Execution) -> P2pMsc:
     return P2pMsc(events, matching)
 
 
-def is_rsc_schedulable(m: P2pMsc) -> tuple[bool, Execution | None]:
-    """Can every receive be scheduled immediately after its send?
-
-    Matched pairs are scheduled as atomic blocks, unmatched sends as unit
-    blocks.  The MSC is RSC exactly when the order between blocks is
-    acyclic (Charron-Bost, Mattern and Tel 1996), so any ready block can go
-    next: the first one is taken until every block is scheduled or none is
-    ready.  True exactly when the MSC is a prefix of a synchronous MSC.
-    """
-    match_of = dict(m.matching)  # send -> recv
-    preds = m.predecessors
-    remaining = [(node, match_of.get(node)) for node in preds if m.label(node)[0]]
-    done = set()
-    schedule: list[Event] = []
-    while remaining:
-        for k, (send, recv) in enumerate(remaining):
-            members = (send,) if recv is None else (send, recv)
-            if all(pred in done or pred in members
-                   for node in members for pred in preds[node]):
-                break
-        else:
-            return False, None
-        del remaining[k]
-        p, _ = send
-        _, peer, message = m.label(send)
-        schedule.append(Event(True, p, peer, message))
-        if recv is not None:
-            schedule.append(Event(False, p, recv[0], message, match=len(schedule) - 1))
-        done.update(members)
-    return True, Execution(tuple(schedule))
-
-
 # ---------------------------------------------------------------------------
 # p2p exploration
 
@@ -386,10 +354,20 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     """MSCs of all explored p2p executions with at most `max_events` events.
 
     Returns (dict from each P2pMsc to the first execution found with it,
-    bound_hit).  The search is depth-first over an explicit stack (its depth
-    grows with `max_events`) and memoised on (configuration, MSC): two
-    interleavings of the same behaviour are explored once.  The steps of
-    each configuration are computed once per call.
+    bound_hit, the non-RSC MSCs in the dict's order).  The search is
+    depth-first over an explicit stack (its depth grows with `max_events`)
+    and memoised on (configuration, MSC): two interleavings of the same
+    behaviour are explored once.  The steps of each configuration are
+    computed once per call.
+
+    An MSC is RSC (each receive can be scheduled right after its send)
+    exactly when the order between its blocks (a send with its receive, or
+    an unmatched send) is acyclic (Charron-Bost, Mattern and Tel 1996).  A
+    new send closes no cycle; a new receive on q closes one exactly when
+    its send's block reaches an earlier event of q.  Each pending send
+    keeps, per process, the first position whose block it reaches (the
+    reached positions are upward closed).  Every extension of a non-RSC
+    MSC is non-RSC and needs no bookkeeping.
     """
     if bound < 1:
         raise ValueError("channel bound must be >= 1")
@@ -398,7 +376,8 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     keys, init, steps = _successors(system, bound)
     procs = sorted(system.declaration.processes)  # P2pMsc lists processes by name
     pidx = {p: i for i, p in enumerate(procs)}
-    mscs = {}
+    unreached = (max_events,) * len(procs)  # past every position of every process
+    mscs, non_rsc = {}, []
     bound_hit = False
     seen = set()
     steps_of = {}  # configuration -> steps(configuration)
@@ -406,10 +385,11 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     # Each node extends its parent's MSC by one event: `labels` holds the
     # per-process label tuples (in `procs` order), `matching` the matched
     # (send node, receive node) pairs, and `pending`, per channel, the
-    # (event index, node) of each send in transit.
-    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), ())]
+    # (event index, node, reach) of each send in transit.  `rsc` says
+    # whether the MSC is RSC.
+    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), (), True)]
     while stack:
-        cfg, pending, labels, matching, events = stack.pop()
+        cfg, pending, labels, matching, events, rsc = stack.pop()
         m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
         # the continuation depends only on the configuration and the MSC,
         # not on which interleaving produced it
@@ -419,6 +399,8 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
         seen.add(key)
         if m not in mscs:
             mscs[m] = Execution(events)
+            if not rsc:
+                non_rsc.append(m)
         if cfg not in steps_of:
             steps_of[cfg] = steps(cfg)
         enabled, blocked_by_bound = steps_of[cfg]
@@ -430,19 +412,35 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
         children = []
         for act, ch, nxt in enabled:
             k = pidx[act.process]
-            node = (act.process, len(labels[k]))
+            pos = len(labels[k])
+            node = (act.process, pos)
             new_labels = list(labels)
             new_labels[k] += ((act.is_send, act.peer, act.message),)
             new_pending = list(pending)
             new_matching = matching
+            new_rsc = rsc
             if act.is_send:
-                new_pending[ch] += ((len(events), node),)
+                reach = unreached[:k] + (pos,) + unreached[k + 1:]
+                new_pending[ch] += ((len(events), node, reach),)
                 ev = Event(True, act.process, act.peer, act.message)
             else:
-                (j, send), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
+                (j, send, reach), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
                 new_matching = matching | {(send, node)}
                 ev = Event(False, act.peer, act.process, act.message, match=j)
+                if rsc and reach[k] < pos:
+                    new_rsc = False  # the send's block reaches the receiver
+                elif rsc:
+                    # the block of `send` now also holds this receive and is
+                    # reached from the receiver's previous event: every
+                    # pending send that reaches either reaches both
+                    sp = pidx[send[0]]
+                    block = reach[:k] + (pos,) + reach[k + 1:]
+                    new_pending = [
+                        sends and tuple((i, n, tuple(map(min, r, block)))
+                                        if r[sp] <= send[1] or r[k] < pos else (i, n, r)
+                                        for i, n, r in sends)
+                        for sends in new_pending]
             children.append((nxt, tuple(new_pending), tuple(new_labels), new_matching,
-                             events + (ev,)))
+                             events + (ev,), new_rsc))
         stack.extend(reversed(children))  # the first step is explored first
-    return mscs, bound_hit
+    return mscs, bound_hit, non_rsc

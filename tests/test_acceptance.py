@@ -19,7 +19,7 @@ from chorcheck.gtype import (choices, gt_product, is_commutation_closed,
 from chorcheck.oracle import (bounded_existential, check_causal_closure,
                               count_profile_check, cross_model_property_test,
                               enumerate_canonical, is_p2p_execution,
-                              is_p2p_execution_by_sequence,
+                              is_p2p_execution_by_sequence, is_rsc_schedulable,
                               member_existential_oracle, swap_closure_oracle)
 from chorcheck.randomgen import (random_commutation_closed,
                                  random_commutation_deterministic,
@@ -27,7 +27,7 @@ from chorcheck.randomgen import (random_commutation_closed,
                                  random_three_process_deterministic)
 from chorcheck.realisability import (Status, check_p2p_realisable,
                                      check_sync_realisable)
-from chorcheck.semantics import Event, Execution, is_rsc_schedulable
+from chorcheck.semantics import Event, Execution
 from chorcheck.trace import (Arrow, msc_of, next_arrow, next_msc, parse_arrow)
 
 from conftest import GSD_ARROWS, all_fixtures, load_fixture

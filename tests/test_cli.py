@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import chorcheck
+from chorcheck import oracle
 from chorcheck.cli import build_parser, main
 
 from conftest import FIXTURE_DIR, load_schema
@@ -182,6 +183,35 @@ def test_input_sized_searches_end_in_a_verdict(capsys, tmp_path):
         code, out = run(capsys, "member", G0, "--msc", msc, *extra)
         assert code == 0, extra
         assert "member: True" in out
+
+
+def test_simulate_long_loop_is_rsc(capsys, tmp_path):
+    # RSC is decided inside the exploration, one step per event, so a long
+    # run ends quickly; each of its 1,501 MSCs is RSC
+    loop = tmp_path / "loop.gt"
+    loop.write_text(LOOP)
+    code, payload = run_json(capsys, "simulate", "simulate", str(loop),
+                             "--bound", "1", "--max-events", "1500")
+    assert code == 3
+    assert payload["bound_hit"] and payload["rsc_violations"] == []
+
+
+def test_rsc_verdicts_do_not_call_the_reference(capsys, monkeypatch, tmp_path):
+    def reference(m):
+        raise AssertionError("the verdict path called the reference RSC check")
+
+    comp = tmp_path / "bar.gt"
+    main(["complement", CROSS, "-o", str(comp)])
+    capsys.readouterr()
+    monkeypatch.setattr(oracle, "is_rsc_schedulable", reference)
+    code, payload = run_json(capsys, "simulate", "simulate", CROSS, "--bound", "2")
+    assert code == 1
+    assert payload["rsc_violations"] == ["p: p!q:m p?q:m' | q: q!p:m' q?p:m"]
+    code, payload = run_json(capsys, "realisable", "realisable", CROSS, "--model", "p2p",
+                             "--complement", str(comp), "--bound", "2")
+    assert code == 1
+    assert payload["conditions"]["rsc"] == {
+        "status": "fails", "witness": "p: p!q:m p?q:m' | q: q!p:m' q?p:m"}
 
 
 def test_cfsm_with_a_duplicate_state_name_is_refused(capsys, tmp_path):

@@ -90,8 +90,8 @@ def test_membership_in_explored_mscs_matches_prefix_search():
         det, bound = seed % 2 == 0, 1 + seed % 4 // 2
         g = random_global_type(rng, decl, 3, deterministic=det)
         h = random_global_type(rng, decl, 3, deterministic=det)
-        mscs_g, _ = p2p_mscs(project(g), bound, 5)
-        mscs_h, _ = p2p_mscs(project(h), bound, 5)
+        mscs_g, _, _ = p2p_mscs(project(g), bound, 5)
+        mscs_h, _, _ = p2p_mscs(project(h), bound, 5)
         prefixes_g = set().union(*map(msc_prefixes, mscs_g))
         for m in mscs_h:
             inside = m in mscs_g
@@ -116,8 +116,8 @@ def test_completion_mscs_are_explored_mscs_of_g():
         completion = g.with_automaton(automata.prefix_closure(g.automaton))
         trimmed += completion.automaton.n_states < g.automaton.n_states
         bound, budget = 1 + seed % 3, 5 + seed % 2
-        mscs_g, hit_g = p2p_mscs(project(g), bound, budget)
-        mscs_c, hit_c = p2p_mscs(project(completion), bound, budget)
+        mscs_g, hit_g, _ = p2p_mscs(project(g), bound, budget)
+        mscs_c, hit_c, _ = p2p_mscs(project(completion), bound, budget)
         for m in mscs_c:
             assert m in mscs_g, (seed, str(m))
         assert hit_g or not hit_c, seed

@@ -7,14 +7,15 @@ from chorcheck import oracle
 from chorcheck.automata import EPS, Nfa
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
-                              is_p2p_execution_by_sequence, linearisations_p2p,
-                              p2p_mscs_by_enumeration)
+                              is_p2p_execution_by_sequence, is_rsc_schedulable,
+                              linearisations_p2p, p2p_mscs_by_enumeration)
 from chorcheck.randomgen import (random_commutation_deterministic,
-                                 random_declaration, random_global_type)
+                                 random_declaration, random_global_type,
+                                 random_three_process_deterministic)
 from chorcheck.semantics import (Cfsm, Event, Execution, ExecutionError,
-                                 is_rsc_schedulable, local_alphabet,
-                                 msc_of_execution, p2p_explore, p2p_mscs,
-                                 recv_action, send_action, sync_explore)
+                                 local_alphabet, msc_of_execution, p2p_explore,
+                                 p2p_mscs, recv_action, send_action,
+                                 sync_explore)
 
 
 def s(p, q, m):
@@ -174,7 +175,7 @@ def test_rsc_schedulable_brute_force(fixture_suite):
     # RSC means some linearisation puts each receive right after its send
     answers = set()
     for g in [*fixture_suite.values(), *_seeded_types()]:
-        mscs, _ = p2p_mscs(project(g), 2, 6)
+        mscs, _, _ = p2p_mscs(project(g), 2, 6)
         for m in mscs:
             ok, schedule = is_rsc_schedulable(m)
             expected = any(all(ev.is_send or ev.match == k - 1
@@ -216,10 +217,31 @@ def test_p2p_mscs_bound_validation(real):
 
 
 def test_p2p_mscs_cross(cross):
-    mscs, bound_hit = p2p_mscs(project(cross), 2, 6)
+    mscs, bound_hit, non_rsc = p2p_mscs(project(cross), 2, 6)
     assert not bound_hit
     squares = [m for m in mscs if len(m) == 4]
     assert any(not is_rsc_schedulable(m)[0] for m in squares)
+    # the crossing square is the only non-RSC MSC
+    assert [str(m) for m in non_rsc] == ["p: p!q:m p?q:m' | q: q!p:m' q?p:m"]
+
+
+def test_p2p_mscs_rsc_matches_reference(fixture_suite):
+    # the RSC-ness carried through the search against the full schedule
+    # search on every explored MSC
+    types = list(fixture_suite.values())
+    for seed in range(60):
+        rng = random.Random(seed)
+        types.append(random_commutation_deterministic(rng, max_states=4, max_arrows=4)
+                     if seed % 2 else random_three_process_deterministic(rng))
+    answers = set()
+    for g in types:
+        system = project(g)
+        for bound in (1, 2, 3):
+            mscs, _, non_rsc = p2p_mscs(system, bound, 6)
+            expected = [m for m in mscs if not is_rsc_schedulable(m)[0]]
+            assert non_rsc == expected, (g.name, bound)
+            answers.update(m in non_rsc for m in mscs)
+    assert answers == {True, False}
 
 
 def test_p2p_mscs_matches_enumeration(fixture_suite):
@@ -233,17 +255,21 @@ def test_p2p_mscs_matches_enumeration(fixture_suite):
         g = random_global_type(rng, decl, rng.randint(2, 4),
                                deterministic=seed % 3 != 2)
         cases.append((g, rng.randint(1, 3), rng.randint(5, 6)))
-    flags = set()
+    flags, rsc_answers = set(), set()
     for g, bound, budget in cases:
         system = project(g)
-        mscs, bound_hit = p2p_mscs(system, bound, budget)
+        mscs, bound_hit, non_rsc = p2p_mscs(system, bound, budget)
         for m, e in mscs.items():
             assert msc_of_execution(e) == m, (g.name, bound, budget, str(m))
-        expected, expected_hit = p2p_mscs_by_enumeration(system, bound, budget)
+        expected, expected_hit, expected_non_rsc = p2p_mscs_by_enumeration(
+            system, bound, budget)
         assert mscs == expected, (g.name, bound, budget)
         assert bound_hit == expected_hit, (g.name, bound, budget)
+        assert non_rsc == expected_non_rsc, (g.name, bound, budget)
         flags.add(bound_hit)
+        rsc_answers.update(m in non_rsc for m in mscs)
     assert flags == {True, False}
+    assert rsc_answers == {True, False}
 
 
 def test_causal_closure_fixtures(fixture_suite):
@@ -258,7 +284,7 @@ def test_causal_closure_reports_non_fifo_msc(real, monkeypatch):
     e = Execution((s("p", "q", "a"), s("p", "q", "a"),
                    r("p", "q", "a", 1), r("p", "q", "a", 0)))
     m = msc_of_execution(e)
-    monkeypatch.setattr(oracle, "p2p_mscs", lambda *args: ({m: e}, False))
+    monkeypatch.setattr(oracle, "p2p_mscs", lambda *args: ({m: e}, False, []))
     report = check_causal_closure(project(real), 2, 6)
     assert not report.passed
     assert report.checked_mscs == 1
