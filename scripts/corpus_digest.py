@@ -62,7 +62,7 @@ EXPECTED = {
     "realisable --model p2p --bound 2 --max-events 8 --json":
         "f5e156ced51e04e5b73af4f671c4155bb5b78a1bd7565ce0dfbd0956c7e8b982",
     "realisable --model synch --json":
-        "d9efaa3157a1f226466fbaef1bda66b3b4b38306100bcfa57181156bf0f5d328",
+        "d2155926ded81af640d782d095e18c1cd93939d780da0ed06c6b74988fc3c8a8",
     "simulate --bound 2 --max-events 8 --json":
         "fe7d61860f7edf4ecbaeed6371f9fb94f82c019b9eb21295bf50e735bb4b0635",
     "closure classify --json":

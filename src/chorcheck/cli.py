@@ -200,7 +200,6 @@ def cmd_realisable(args) -> int:
             "cc_witness": _word_json(v.cc_witness) if v.cc_witness else None,
             "deadlock_free": v.deadlock_free,
             "deadlock_witness": v.deadlock_witness,
-            "sanity_lower_inclusion": v.sanity_lower_inclusion,
         }
         lines = [f"synchronous realisable: {v.realisable}",
                  f"  cc_holds: {v.cc_holds}"]

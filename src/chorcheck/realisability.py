@@ -22,7 +22,6 @@ class SynchVerdict:
     cc_witness: tuple | None
     deadlock_free: bool | None        # None when CC already fails
     deadlock_witness: str | None
-    sanity_lower_inclusion: bool
 
     @property
     def realisable(self) -> bool:
@@ -34,17 +33,18 @@ def check_sync_realisable(g: GlobalType, gbar: GlobalType) -> SynchVerdict:
 
     Condition (CC) reduces to emptiness of L(product(projection) ⊗ gbar);
     deadlock freedom to co-reachability of accepting states in the product.
+    The other inclusion, L(g) ⊆ L(product), holds by construction of the
+    projection and is left to the tests.
     """
     if g.declaration != gbar.declaration:
         raise DeclarationMismatchError("realisability check requires one declaration")
     prod = sync_product(project(g))
     empty, witness = automata.is_empty(
         automata.product(prod.automaton, gbar.automaton))
-    sanity, _ = automata.includes(prod.automaton, g.automaton)
     if not empty:
-        return SynchVerdict(False, witness, None, None, sanity)
+        return SynchVerdict(False, witness, None, None)
     deadlock_free, dl_witness = _all_coaccessible(prod.automaton)
-    return SynchVerdict(True, None, deadlock_free, dl_witness, sanity)
+    return SynchVerdict(True, None, deadlock_free, dl_witness)
 
 
 def _all_coaccessible(nfa) -> tuple[bool, str | None]:

@@ -21,18 +21,23 @@ def gbar(g):
     return complement_auto(g).gtype
 
 
+def lower_inclusion(g):
+    # L(g) ⊆ L(product(projection)): holds by construction of the projection
+    return automata.includes(sync_product(project(g)).automaton, g.automaton)[0]
+
+
 def test_real_is_synch_realisable(real):
     v = check_sync_realisable(real, gbar(real))
     assert v.realisable
     assert v.cc_holds and v.deadlock_free
-    assert v.sanity_lower_inclusion
+    assert lower_inclusion(real)
 
 
 def test_nonreal_fails_cc_with_witness(nonreal):
     v = check_sync_realisable(nonreal, gbar(nonreal))
     assert not v.cc_holds
     assert v.deadlock_free is None
-    assert v.sanity_lower_inclusion
+    assert lower_inclusion(nonreal)
     # witness word is produced by the projected system but outside L_ex(G)
     m = msc_of(v.cc_witness, nonreal.declaration)
     assert not member_existential(nonreal, m)
@@ -45,17 +50,22 @@ def test_deadlock_fails_only_deadlock_clause(deadlock):
     assert v.cc_holds
     assert v.deadlock_free is False
     assert v.deadlock_witness is not None
-    assert v.sanity_lower_inclusion
+    assert lower_inclusion(deadlock)
     assert not v.realisable
 
 
 def test_sanity_inclusion_all_fixtures(fixture_suite):
-    for g in fixture_suite.values():
-        try:
-            comp = complement_auto(g).gtype
-        except NoComplementMethodError:
-            comp = complement_cartesian(g).gtype
-        assert check_sync_realisable(g, comp).sanity_lower_inclusion, g.name
+    # on the fixtures and on seeded deterministic, nondeterministic and
+    # commutation-deterministic types
+    types = list(fixture_suite.values())
+    for seed in range(40):
+        rng = random.Random(seed)
+        decl = random_declaration(rng, rng.randint(2, 4), 2, rng.randint(2, 4))
+        types.append(random_global_type(rng, decl, rng.randint(2, 4),
+                                        deterministic=seed % 2 == 0))
+        types.append(random_commutation_deterministic(rng, max_states=4))
+    for g in types:
+        assert lower_inclusion(g), g.name
 
 
 def test_declaration_mismatch(real, g0):
