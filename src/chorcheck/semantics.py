@@ -356,9 +356,10 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     Returns (dict from each P2pMsc to the first execution found with it,
     bound_hit, the non-RSC MSCs in the dict's order).  The search is
     depth-first over an explicit stack (its depth grows with `max_events`)
-    and memoised on (configuration, MSC): two interleavings of the same
-    behaviour are explored once.  The steps of each configuration are
-    computed once per call.
+    and memoised on the MSC: two interleavings of the same behaviour are
+    explored once.  The MSC fixes the configuration, since every CFSM is
+    deterministic.  The steps of each configuration are computed once per
+    call.
 
     An MSC is RSC (each receive can be scheduled right after its send)
     exactly when the order between its blocks (a send with its receive, or
@@ -379,7 +380,6 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     unreached = (max_events,) * len(procs)  # past every position of every process
     mscs, non_rsc = {}, []
     bound_hit = False
-    seen = set()
     steps_of = {}  # configuration -> steps(configuration)
 
     # Each node extends its parent's MSC by one event: `labels` holds the
@@ -391,16 +391,13 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     while stack:
         cfg, pending, labels, matching, events, rsc = stack.pop()
         m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
-        # the continuation depends only on the configuration and the MSC,
-        # not on which interleaving produced it
-        key = (cfg, m)
-        if key in seen:
+        # the continuation depends only on the MSC, not on which
+        # interleaving produced it
+        if m in mscs:
             continue
-        seen.add(key)
-        if m not in mscs:
-            mscs[m] = Execution(events)
-            if not rsc:
-                non_rsc.append(m)
+        mscs[m] = Execution(events)
+        if not rsc:
+            non_rsc.append(m)
         if cfg not in steps_of:
             steps_of[cfg] = steps(cfg)
         enabled, blocked_by_bound = steps_of[cfg]

@@ -173,27 +173,19 @@ LOOP = """gtype loop {
 
 def test_input_sized_searches_end_in_a_verdict(capsys, tmp_path):
     # searches deeper than Python's recursion limit (1,000 frames) end in a
-    # verdict, not in a RecursionError; a recursive search overflows on both
+    # verdict, not in a RecursionError; a recursive search overflows on both.
+    # RSC is decided inside the exploration, one update per event, so the
+    # long run also ends quickly; each of its 1,501 MSCs is RSC
     loop = tmp_path / "loop.gt"
     loop.write_text(LOOP)
-    assert main(["simulate", str(loop), "--bound", "1", "--max-events", "1000"]) == 3
-    assert "bound hit" in capsys.readouterr().out
+    assert main(["simulate", str(loop), "--bound", "1", "--max-events", "1500"]) == 3
+    out = capsys.readouterr().out
+    assert "bound hit" in out and "non-RSC MSCs: 0\n" in out
     msc = ";".join(["p->q:m1"] * 500)
     for extra in ([], ["--universal"]):
         code, out = run(capsys, "member", G0, "--msc", msc, *extra)
         assert code == 0, extra
         assert "member: True" in out
-
-
-def test_simulate_long_loop_is_rsc(capsys, tmp_path):
-    # RSC is decided inside the exploration, one step per event, so a long
-    # run ends quickly; each of its 1,501 MSCs is RSC
-    loop = tmp_path / "loop.gt"
-    loop.write_text(LOOP)
-    code, payload = run_json(capsys, "simulate", "simulate", str(loop),
-                             "--bound", "1", "--max-events", "1500")
-    assert code == 3
-    assert payload["bound_hit"] and payload["rsc_violations"] == []
 
 
 def test_rsc_verdicts_do_not_call_the_reference(capsys, monkeypatch, tmp_path):
