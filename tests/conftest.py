@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from chorcheck.automata import includes
 from chorcheck.formats import parse_gt
+from chorcheck.gtype import project, sync_product
 from chorcheck.trace import Arrow
 
 REPO = Path(__file__).resolve().parent.parent
@@ -28,6 +30,11 @@ def load_fixture(name: str):
 
 def all_fixtures() -> dict:
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+def lower_inclusion(g) -> bool:
+    """L(g) ⊆ L(product(projection)): holds by construction of the projection."""
+    return includes(sync_product(project(g)).automaton, g.automaton)[0]
 
 
 @pytest.fixture

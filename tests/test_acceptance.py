@@ -6,7 +6,7 @@ pass/fail line per criterion.
 
 import random
 
-from chorcheck.automata import eps_eliminate, erase_letter, includes, words
+from chorcheck.automata import eps_eliminate, erase_letter, words
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian, complement_dual,
                                   complement_renunciation,
@@ -30,16 +30,11 @@ from chorcheck.realisability import (Status, check_p2p_realisable,
 from chorcheck.semantics import Event, Execution
 from chorcheck.trace import (Arrow, msc_of, next_arrow, next_msc, parse_arrow)
 
-from conftest import GSD_ARROWS, all_fixtures, load_fixture
+from conftest import GSD_ARROWS, all_fixtures, load_fixture, lower_inclusion
 
 
 def word_of(text):
     return tuple(parse_arrow(part) for part in text.split())
-
-
-def lower_inclusion(g):
-    # L(g) ⊆ L(product(projection)): holds by construction of the projection
-    return includes(sync_product(project(g)).automaton, g.automaton)[0]
 
 
 def test_criterion_01_renunciation_facts():

@@ -16,14 +16,11 @@ from chorcheck.realisability import (Status, check_p2p_realisable,
 from chorcheck.semantics import Execution, msc_of_execution, p2p_mscs
 from chorcheck.trace import msc_of
 
+from conftest import lower_inclusion
+
 
 def gbar(g):
     return complement_auto(g).gtype
-
-
-def lower_inclusion(g):
-    # L(g) ⊆ L(product(projection)): holds by construction of the projection
-    return automata.includes(sync_product(project(g)).automaton, g.automaton)[0]
 
 
 def test_real_is_synch_realisable(real):
