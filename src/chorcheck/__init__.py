@@ -16,8 +16,8 @@ from .realisability import (P2pVerdict, Status, SynchVerdict,
                             check_p2p_realisable, check_sync_realisable)
 from .semantics import (Cfsm, Event, Execution, LocalAction, P2pMsc, System,
                         msc_of_execution, p2p_explore, p2p_mscs)
-from .trace import (Arrow, Declaration, Msc, commute, linearisations,
-                    minimal_arrows, msc_of, next_arrow, next_msc, parse_arrow)
+from .trace import (Arrow, Declaration, Msc, commute, linearisations, msc_of,
+                    next_arrow, next_msc, parse_arrow)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,10 +6,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import automata
-from .automata import EPS, Nfa, determinise, eps_eliminate
+from .automata import EPS, Nfa, determinise
 from .semantics import Cfsm, System, local_alphabet, recv_action, send_action
 from .trace import (Arrow, Declaration, DeclarationError, Msc, commute,
-                    minimal_arrows, next_arrow, next_msc)
+                    next_arrow, next_msc)
 
 
 class DeclarationMismatchError(ValueError):
@@ -193,42 +193,48 @@ def dual_gt(g: GlobalType) -> GlobalType:
 # MSC-language membership
 
 
-def member_existential(g: GlobalType, m: Msc) -> bool:
-    """Does some linearisation of `m` belong to L(g)?
+def _reached(g: GlobalType, m: Msc) -> set[frozenset]:
+    """The state sets that the linearisations of `m` reach in g's automaton.
 
-    Depth-first search over (state set, remaining trace) pairs, each
-    visited once, for an accepting state set with nothing left to read.
+    A prefix of `m` is fixed by how many events each process has done, and
+    an arrow extends it when it is the next event of both its participants.
+    The walk goes over these position vectors one arrow at a time, keeping
+    for each the state sets that the linearisations of its prefix reach.
+    Empty sets are kept: each stands for linearisations that g rejects.
     """
-    a = eps_eliminate(g.automaton)
+    a = g.automaton
+    index = {p: i for i, p in enumerate(m.declaration.processes)}
+    done = [0] * len(index)
+    sends = {}  # (sender, position) -> (arrow, receiver, receiver's position)
+    for x in m.word:
+        p, q = index[x.sender], index[x.receiver]
+        sends[(p, done[p])] = (x, q, done[q])
+        done[p] += 1
+        done[q] += 1
+    layer = {(0,) * len(done): {a.eps_closure(a.initial)}}
+    for _ in m.word:
+        nxt: dict[tuple, set] = {}
+        for vec, sets in layer.items():
+            for p, k in enumerate(vec):
+                if (send := sends.get((p, k))) and vec[send[1]] == send[2]:
+                    x, q, _ = send
+                    v = list(vec)
+                    v[p] += 1
+                    v[q] += 1
+                    nxt.setdefault(tuple(v), set()).update(a.step(s, x) for s in sets)
+        layer = nxt
+    (sets,) = layer.values()
+    return sets
 
-    def children(states, trace):
-        for arrow in minimal_arrows(trace):
-            if nxt := a.step(states, arrow):
-                yield nxt, next_msc(trace, (arrow,))
 
-    # a stack of child iterators: a child's trace is built only when the
-    # search reaches it, so an early accept skips its siblings
-    seen = set()
-    stack = [iter([(a.eps_closure(a.initial), m)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif node not in seen:
-            seen.add(node)
-            states, trace = node
-            if not trace.word:
-                if states & a.accepting:
-                    return True
-            else:
-                stack.append(children(states, trace))
-    return False
+def member_existential(g: GlobalType, m: Msc) -> bool:
+    """Does some linearisation of `m` belong to L(g)?"""
+    return any(s & g.automaton.accepting for s in _reached(g, m))
 
 
 def member_universal(g: GlobalType, m: Msc) -> bool:
     """Is every linearisation of `m` in L(g)?"""
-    d = determinise_gt(g)
-    return not member_existential(dual_gt(d), m)
+    return all(s & g.automaton.accepting for s in _reached(g, m))
 
 
 def member_existential_via_next(g: GlobalType, m: Msc) -> bool:

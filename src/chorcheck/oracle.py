@@ -155,6 +155,13 @@ def member_existential_oracle(g, m: Msc, limit: int = 10) -> bool:
     return any(g.automaton.accepts(w) for w in linearisations(m, limit))
 
 
+def member_universal_oracle(g, m: Msc, limit: int = 10) -> bool:
+    """Universal membership by enumerating every linearisation."""
+    from .trace import linearisations
+
+    return all(g.automaton.accepts(w) for w in linearisations(m, limit))
+
+
 # ---------------------------------------------------------------------------
 # p2p MSCs and the p2p => synchronous implication
 

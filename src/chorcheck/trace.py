@@ -179,14 +179,6 @@ def is_normal_form(word, declaration: Declaration) -> bool:
     return tuple(word) == _normal_form(word, declaration)
 
 
-def minimal_arrows(m: Msc) -> frozenset[Arrow]:
-    """Arrows whose first occurrence is minimal in the dependence order."""
-    w = m.word
-    return frozenset(
-        a for i, a in enumerate(w) if all(commute(w[j], a) for j in range(i))
-    )
-
-
 def linearisations(m: Msc, limit: int = 10) -> frozenset[tuple[Arrow, ...]]:
     """All words with the same trace as `m` (exponential; bounded by `limit`)."""
     if len(m) > limit:

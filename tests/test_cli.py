@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,13 @@ def test_input_sized_searches_end_in_a_verdict(capsys, tmp_path):
         code, out = run(capsys, "member", G0, "--msc", msc, *extra)
         assert code == 0, extra
         assert "member: True" in out
+    # a rejecting random query visits every prefix of its MSC
+    rng = random.Random(2)
+    msc = ";".join(rng.choice(["p->q:m1", "p->q:m3", "r->s:m2"]) for _ in range(300))
+    for extra in ([], ["--universal"]):
+        code, out = run(capsys, "member", G0, "--msc", msc, *extra)
+        assert code == 1, extra
+        assert "member: False" in out
 
 
 def test_rsc_verdicts_do_not_call_the_reference(capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chorcheck import automata, gtype, trace
 from chorcheck.automata import Nfa
 from chorcheck.gtype import (ClassificationError, DeclarationMismatchError,
                              GlobalType, choices, classify, determinise_gt,
@@ -12,7 +13,8 @@ from chorcheck.gtype import (ClassificationError, DeclarationMismatchError,
                              member_existential_via_next, member_universal,
                              participant_count, project, sync_product)
 from chorcheck.oracle import (bounded_existential, enumerate_canonical,
-                              member_existential_oracle, swap_closure_oracle)
+                              member_existential_oracle, member_universal_oracle,
+                              swap_closure_oracle)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
 from chorcheck.semantics import sync_explore
@@ -193,6 +195,65 @@ def test_membership_agrees_with_oracle(fixture_suite):
         for m in sorted(enumerate_canonical(g.declaration, 3),
                         key=lambda m: (len(m), m.word)):
             assert member_existential(g, m) == member_existential_oracle(g, m)
+            assert member_universal(g, m) == member_universal_oracle(g, m)
+
+
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_both_membership_modes_agree_with_oracles(deterministic):
+    # every MSC of up to 4 events over 20 seeded types; the universal and
+    # existential answers both differ on these inputs, so a quantifier or
+    # state-set slip shows
+    rng = random.Random(21 if deterministic else 22)
+    differ = 0
+    for _ in range(20):
+        decl = random_declaration(rng, 4, 2, rng.randint(3, 5))
+        g = random_global_type(rng, decl, rng.randint(2, 4),
+                               deterministic=deterministic, density=0.7)
+        for m in enumerate_canonical(decl, 4):
+            some, every = member_existential(g, m), member_universal(g, m)
+            assert some == member_existential_oracle(g, m), (g.automaton, m)
+            assert every == member_universal_oracle(g, m), (g.automaton, m)
+            differ += some != every
+    assert differ
+
+
+def test_long_membership_agrees_with_next_arrow_recursion():
+    # words of up to 30 arrows, too long for the linearisation oracle: walks
+    # of commutation-deterministic types, 30% with one arrow replaced
+    rng = random.Random(9)
+    accepted = 0
+    for _ in range(400):
+        g = random_commutation_deterministic(rng)
+        delta, arrows = g.automaton.delta, g.declaration.arrows
+        state, word = 0, []
+        for _ in range(rng.randint(0, 30)):
+            out = [x for x in arrows if (state, x) in delta]
+            if not out:
+                break
+            word.append(rng.choice(out))
+            state = delta[(state, word[-1])]
+        if word and rng.random() < 0.3:
+            word[rng.randrange(len(word))] = rng.choice(arrows)
+        m = msc_of(word, g.declaration)
+        member = member_existential(g, m)
+        assert member == member_existential_via_next(g, m), (g.automaton, m)
+        accepted += member
+    assert 0 < accepted < 400
+
+
+def test_membership_builds_no_automaton_and_no_msc(g_sd, gsd_arrows, monkeypatch):
+    a1, a2, a2p, a3, a4 = gsd_arrows
+    m = msc_of((a3, a1), g_sd.declaration)
+
+    def built(*args, **kwargs):
+        raise AssertionError("membership built an automaton or an MSC")
+
+    for module, name in ((gtype, "next_msc"), (trace, "msc_of"),
+                         (automata, "determinise"), (gtype, "determinise"),
+                         (automata, "dual")):
+        monkeypatch.setattr(module, name, built)
+    assert member_existential(g_sd, m)
+    assert not member_universal(g_sd, m)
 
 
 def test_membership_via_next_requires_cd(g0):

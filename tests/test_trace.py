@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from chorcheck.trace import (Arrow, CommutingChoicesError, Declaration,
                              DeclarationError, commute, is_normal_form,
-                             linearisations, minimal_arrows, msc_of,
-                             next_arrow, next_msc, parse_arrow)
+                             linearisations, msc_of, next_arrow, next_msc,
+                             parse_arrow)
 from chorcheck.oracle import normal_form_oracle
 from chorcheck.randomgen import random_declaration
 
@@ -74,12 +74,6 @@ def test_canonical_word_is_least_linearisation():
 def test_msc_rejects_undeclared_arrows():
     with pytest.raises(DeclarationError):
         msc_of((Arrow("p", "s", "m1"),), DECL)
-
-
-def test_minimal_arrows():
-    m = msc_of((A, B, C), DECL)
-    assert minimal_arrows(m) == {A, B}
-    assert minimal_arrows(msc_of((), DECL)) == frozenset()
 
 
 def test_linearisations():
