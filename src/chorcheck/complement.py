@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .automata import Nfa, _restrict, reachable
 from .gtype import (ClassificationError, DeclarationMismatchError, GlobalType,
-                    choices, determinise_gt, dual_gt, is_commutation_closed,
+                    _choices_per_state, determinise_gt, dual_gt, is_commutation_closed,
                     is_commutation_deterministic, is_deterministic,
                     participant_count, project, sync_product)
 from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD,
@@ -91,11 +91,9 @@ def renunciation_automaton(g: GlobalType) -> Nfa:
     def add(src, letter, dst):
         transitions.add((index[src], letter, index[dst]))
 
-    for s in range(a.n_states):
-        cs = choices(g, s)
-        for src, x, t in a.transitions:
-            if src == s:
-                add(("g", s), x, ("g", t))                       # keep G's run
+    for src, x, t in a.transitions:
+        add(("g", src), x, ("g", t))                             # keep G's run
+    for s, cs in enumerate(_choices_per_state(g)):
         for x in arrows:
             if x not in cs:
                 add(("g", s), x, ("bar", s))                     # definitive renunciation

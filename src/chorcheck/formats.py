@@ -335,6 +335,7 @@ def parse_cfsm(text: str) -> Cfsm:
                 raise p.error(f"unknown state {endpoint[1]!r}", endpoint)
         transitions.add((index[src[1]], act, index[dst[1]]))
     p.expect("punct", "}")
+    p.expect("eof")
     initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
     accepting = frozenset(i for i, (_, _, acc) in enumerate(state_entries) if acc)
     nfa = Nfa(tuple(sorted(alphabet)), max(len(names), 1), initial or frozenset({0}),

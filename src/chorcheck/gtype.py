@@ -156,19 +156,39 @@ def project(g: GlobalType) -> System:
 
 
 def sync_product(system: System, name: str = "") -> GlobalType:
-    """Cartesian abstraction: rendezvous product of the CFSMs, over arrows."""
-    from .semantics import sync_explore
+    """Cartesian abstraction: rendezvous product of the CFSMs, over arrows.
 
-    graph = sync_explore(system)
-    index = {cfg: i for i, cfg in enumerate(graph.configurations)}
-    transitions = frozenset((index[src], arrow, index[dst])
-                            for src, arrow, dst in graph.edges)
-    names = tuple("(" + ",".join(str(x) for x in cfg) + ")"
-                  for cfg in graph.configurations)
-    nfa = Nfa(system.declaration.arrows, len(index),
-              frozenset({index[graph.initial]}), transitions,
-              frozenset(index[c] for c in graph.accepting), names)
-    return GlobalType(system.declaration, nfa, name)
+    The states are the reachable tuples of local states, numbered in
+    sorted order and named by their tuple; an arrow moves its sender and
+    its receiver together.
+    """
+    decl = system.declaration
+    pidx = {p: i for i, p in enumerate(decl.processes)}
+    deltas = [c.automaton.delta for c in system.cfsms]
+    moves = [(x, pidx[x.sender], pidx[x.receiver], send_action(x.sender, x.receiver, x.message),
+              recv_action(x.receiver, x.sender, x.message)) for x in decl.arrows]
+
+    def successors(cfg):
+        for x, si, ri, send, recv in moves:
+            s2 = deltas[si].get((cfg[si], send))
+            r2 = deltas[ri].get((cfg[ri], recv))
+            if s2 is not None and r2 is not None:
+                nxt = list(cfg)
+                nxt[si], nxt[ri] = s2, r2
+                yield x, tuple(nxt)
+
+    init = tuple(next(iter(c.automaton.initial)) for c in system.cfsms)
+    configs, _, edges = automata._explore([init], successors)
+    ordered = sorted(configs)
+    index = {cfg: i for i, cfg in enumerate(ordered)}
+    accepting = frozenset(
+        i for i, cfg in enumerate(ordered)
+        if all(s in c.automaton.accepting for s, c in zip(cfg, system.cfsms)))
+    names = tuple("(" + ",".join(str(s) for s in cfg) + ")" for cfg in ordered)
+    nfa = Nfa(decl.arrows, len(ordered), frozenset({index[init]}),
+              frozenset((index[configs[i]], x, index[configs[j]]) for i, x, j in edges),
+              accepting, names)
+    return GlobalType(decl, nfa, name)
 
 
 def gt_product(g: GlobalType, h: GlobalType, name: str = "") -> GlobalType:

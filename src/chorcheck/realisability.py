@@ -48,13 +48,11 @@ def check_sync_realisable(g: GlobalType, gbar: GlobalType) -> SynchVerdict:
 
 
 def _all_coaccessible(nfa) -> tuple[bool, str | None]:
-    nfa = automata.eps_eliminate(nfa)
-    reach = automata.reachable(nfa)
-    coacc = set(automata._distances_to_accepting(nfa))
-    stuck = sorted(reach - coacc)
-    if stuck:
-        return False, nfa.state_name(stuck[0])
-    return True, None
+    # a rendezvous product has no ε transition and all its states are
+    # reachable: the stuck states are those that reach no accepting state
+    coacc = automata._distances_to_accepting(nfa)
+    stuck = [s for s in range(nfa.n_states) if s not in coacc]
+    return (False, nfa.state_name(stuck[0])) if stuck else (True, None)
 
 
 class Status(str, Enum):

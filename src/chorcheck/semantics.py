@@ -1,4 +1,4 @@
-"""CFSM systems and their synchronous / p2p executions.
+"""CFSM systems and their bounded p2p executions.
 
 The p2p model has one FIFO channel per ordered pair of processes.  The
 exploration is bounded: a send is enabled only while its channel holds
@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .automata import Nfa, _explore
+from .automata import Nfa
 from .trace import Declaration
 
 
@@ -85,48 +86,6 @@ class System:
 
     def cfsm(self, process: str) -> Cfsm:
         return self.cfsms[self.declaration.processes.index(process)]
-
-
-# ---------------------------------------------------------------------------
-# synchronous exploration
-
-
-@dataclass(frozen=True)
-class SyncGraph:
-    """Reachable rendezvous configurations of a system."""
-
-    configurations: tuple[tuple[int, ...], ...]
-    initial: tuple[int, ...]
-    edges: tuple[tuple[tuple[int, ...], object, tuple[int, ...]], ...]
-    accepting: frozenset
-
-
-def sync_explore(system: System) -> SyncGraph:
-    """BFS over tuples of local states under rendezvous communication."""
-    decl = system.declaration
-    init = tuple(next(iter(c.automaton.initial)) for c in system.cfsms)
-    pidx = {p: i for i, p in enumerate(decl.processes)}
-    deltas = [c.automaton.delta for c in system.cfsms]
-
-    def successors(cfg):
-        for arrow in decl.arrows:
-            si, ri = pidx[arrow.sender], pidx[arrow.receiver]
-            s2 = deltas[si].get(
-                (cfg[si], send_action(arrow.sender, arrow.receiver, arrow.message)))
-            r2 = deltas[ri].get(
-                (cfg[ri], recv_action(arrow.receiver, arrow.sender, arrow.message)))
-            if s2 is not None and r2 is not None:
-                nxt = list(cfg)
-                nxt[si], nxt[ri] = s2, r2
-                yield arrow, tuple(nxt)
-
-    configs, _, transitions = _explore([init], successors)
-    accepting = frozenset(
-        cfg for cfg in configs
-        if all(cfg[i] in c.automaton.accepting for i, c in enumerate(system.cfsms))
-    )
-    edges = tuple((configs[i], arrow, configs[j]) for i, arrow, j in transitions)
-    return SyncGraph(tuple(sorted(configs)), init, edges, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +212,7 @@ def msc_of_execution(e: Execution) -> P2pMsc:
 # p2p exploration
 
 
-@dataclass(frozen=True)
-class P2pConfiguration:
+class P2pConfiguration(NamedTuple):
     locals: tuple[int, ...]
     channels: tuple[tuple[str, ...], ...]  # aligned with the channel key order
 
@@ -262,7 +220,6 @@ class P2pConfiguration:
 @dataclass
 class P2pReport:
     configurations: list
-    finals: list
     deadlocks: list          # (configuration, event path)
     orphans: list            # deadlocked, all locals accepting, channels non-empty
     bound_hit: bool
@@ -323,7 +280,7 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
     parent: dict[P2pConfiguration, tuple[P2pConfiguration, LocalAction] | None] = {init: None}
     queue = deque([init])
     bound_hit = False
-    deadlocks, finals, orphans = [], [], []
+    deadlocks, orphans = [], []
     while queue:
         cfg = queue.popleft()
         enabled, blocked_by_bound = steps(cfg)
@@ -331,8 +288,6 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
         all_accepting = all(cfg.locals[i] in c.automaton.accepting
                             for i, c in enumerate(system.cfsms))
         empty_channels = all(not ch for ch in cfg.channels)
-        if all_accepting and empty_channels:
-            finals.append(cfg)
         if not enabled and not (all_accepting and empty_channels):
             path = []
             node = cfg
@@ -347,19 +302,19 @@ def p2p_explore(system: System, bound: int) -> P2pReport:
             if nxt not in parent:
                 parent[nxt] = (cfg, act)
                 queue.append(nxt)
-    return P2pReport(list(parent), finals, deadlocks, orphans, bound_hit, keys)
+    return P2pReport(list(parent), deadlocks, orphans, bound_hit, keys)
 
 
 def p2p_mscs(system: System, bound: int, max_events: int = 8):
     """MSCs of all explored p2p executions with at most `max_events` events.
 
-    Returns (dict from each P2pMsc to the first execution found with it,
-    bound_hit, the non-RSC MSCs in the dict's order).  The search is
-    depth-first over an explicit stack (its depth grows with `max_events`)
-    and memoised on the MSC: two interleavings of the same behaviour are
-    explored once.  The MSC fixes the configuration, since every CFSM is
-    deterministic.  The steps of each configuration are computed once per
-    call.
+    Returns (the explored P2pMscs in discovery order, bound_hit, the non-RSC
+    ones among them in the same order).  The search is depth-first over an
+    explicit stack (its depth grows with `max_events`) and memoised on the
+    MSC: two interleavings of the same behaviour are explored once.  The
+    MSC fixes the configuration, since every CFSM is deterministic.  The
+    steps of each configuration are computed once per call.  No execution
+    is built: a caller that wants one takes a linearisation of the MSC.
 
     An MSC is RSC (each receive can be scheduled right after its send)
     exactly when the order between its blocks (a send with its receive, or
@@ -378,30 +333,30 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     procs = sorted(system.declaration.processes)  # P2pMsc lists processes by name
     pidx = {p: i for i, p in enumerate(procs)}
     unreached = (max_events,) * len(procs)  # past every position of every process
-    mscs, non_rsc = {}, []
+    mscs, non_rsc = {}, []  # mscs: the explored MSCs, as an ordered set
     bound_hit = False
     steps_of = {}  # configuration -> steps(configuration)
 
     # Each node extends its parent's MSC by one event: `labels` holds the
     # per-process label tuples (in `procs` order), `matching` the matched
     # (send node, receive node) pairs, and `pending`, per channel, the
-    # (event index, node, reach) of each send in transit.  `rsc` says
-    # whether the MSC is RSC.
-    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), (), True)]
+    # (node, reach) of each send in transit.  `depth` counts the events and
+    # `rsc` says whether the MSC is RSC.
+    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), 0, True)]
     while stack:
-        cfg, pending, labels, matching, events, rsc = stack.pop()
+        cfg, pending, labels, matching, depth, rsc = stack.pop()
         m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
         # the continuation depends only on the MSC, not on which
         # interleaving produced it
         if m in mscs:
             continue
-        mscs[m] = Execution(events)
+        mscs[m] = None
         if not rsc:
             non_rsc.append(m)
         if cfg not in steps_of:
             steps_of[cfg] = steps(cfg)
         enabled, blocked_by_bound = steps_of[cfg]
-        if len(events) >= max_events:
+        if depth >= max_events:
             if enabled:
                 bound_hit = True  # truncated by the event budget, not exhausted
             continue
@@ -418,12 +373,10 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
             new_rsc = rsc
             if act.is_send:
                 reach = unreached[:k] + (pos,) + unreached[k + 1:]
-                new_pending[ch] += ((len(events), node, reach),)
-                ev = Event(True, act.process, act.peer, act.message)
+                new_pending[ch] += ((node, reach),)
             else:
-                (j, send, reach), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
+                (send, reach), new_pending[ch] = new_pending[ch][0], new_pending[ch][1:]
                 new_matching = matching | {(send, node)}
-                ev = Event(False, act.peer, act.process, act.message, match=j)
                 if rsc and reach[k] < pos:
                     new_rsc = False  # the send's block reaches the receiver
                 elif rsc:
@@ -433,11 +386,11 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
                     sp = pidx[send[0]]
                     block = reach[:k] + (pos,) + reach[k + 1:]
                     new_pending = [
-                        sends and tuple((i, n, tuple(map(min, r, block)))
-                                        if r[sp] <= send[1] or r[k] < pos else (i, n, r)
-                                        for i, n, r in sends)
+                        sends and tuple((n, tuple(map(min, r, block)))
+                                        if r[sp] <= send[1] or r[k] < pos else (n, r)
+                                        for n, r in sends)
                         for sends in new_pending]
             children.append((nxt, tuple(new_pending), tuple(new_labels), new_matching,
-                             events + (ev,), new_rsc))
+                             depth + 1, new_rsc))
         stack.extend(reversed(children))  # the first step is explored first
-    return mscs, bound_hit, non_rsc
+    return list(mscs), bound_hit, non_rsc

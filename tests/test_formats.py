@@ -192,6 +192,16 @@ def test_cfsm_owner_checked():
         parse_cfsm(src)
 
 
+def test_cfsm_trailing_text_rejected():
+    src = """cfsm pm of p { processes: p, q; messages: m;
+      states: t0*, t1+;
+      t0 -- p!q:m --> t1; }
+    garbage here {{{"""
+    with pytest.raises(ParseError) as exc:
+        parse_cfsm(src)
+    assert exc.value.line == 4
+
+
 def test_parse_msc(g_sd, gsd_arrows):
     a1, _, _, a3, _ = gsd_arrows
     m = parse_msc("p->q:m1; r->q':m3", g_sd.declaration)

@@ -17,7 +17,6 @@ from chorcheck.oracle import (bounded_existential, enumerate_canonical,
                               swap_closure_oracle)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
-from chorcheck.semantics import sync_explore
 from chorcheck.trace import Arrow, Declaration, DeclarationError, commute, msc_of
 
 
@@ -148,14 +147,18 @@ def test_commutation_closure_six_process_abstraction():
 
 def test_projection_g_sd_configurations(g_sd):
     # init, after a1, after a2, after a3, after {a1,a3}
-    graph = sync_explore(project(g_sd))
-    assert len(graph.configurations) == 5
+    assert sync_product(project(g_sd)).automaton.n_states == 5
 
 
 def test_projection_real_chain(real):
     system = project(real)
     p = system.cfsm("p").automaton
     assert p.n_states == 2 and len(p.transitions) == 1
+
+
+def test_sync_product_counts(real, deadlock):
+    assert sync_product(project(real)).automaton.n_states == 3
+    assert sync_product(project(deadlock)).automaton.accepting
 
 
 def test_sync_product_language(real):

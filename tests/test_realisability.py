@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chorcheck import automata
+from chorcheck import automata, semantics
+from chorcheck.cli import main
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian)
 from chorcheck.gtype import (DeclarationMismatchError, member_existential,
@@ -16,7 +17,7 @@ from chorcheck.realisability import (Status, check_p2p_realisable,
 from chorcheck.semantics import Execution, msc_of_execution, p2p_mscs
 from chorcheck.trace import msc_of
 
-from conftest import lower_inclusion
+from conftest import FIXTURE_DIR, lower_inclusion
 
 
 def gbar(g):
@@ -100,8 +101,9 @@ def test_membership_in_explored_mscs_matches_prefix_search():
         mscs_g, _, _ = p2p_mscs(project(g), bound, 5)
         mscs_h, _, _ = p2p_mscs(project(h), bound, 5)
         prefixes_g = set().union(*map(msc_prefixes, mscs_g))
+        explored_g = set(mscs_g)
         for m in mscs_h:
-            inside = m in mscs_g
+            inside = m in explored_g
             assert inside == (m in prefixes_g), (seed, str(m))
             outcomes.add(inside)
     assert outcomes == {True, False}
@@ -125,10 +127,32 @@ def test_completion_mscs_are_explored_mscs_of_g():
         bound, budget = 1 + seed % 3, 5 + seed % 2
         mscs_g, hit_g, _ = p2p_mscs(project(g), bound, budget)
         mscs_c, hit_c, _ = p2p_mscs(project(completion), bound, budget)
-        for m in mscs_c:
-            assert m in mscs_g, (seed, str(m))
+        assert set(mscs_c) <= set(mscs_g), seed
         assert hit_g or not hit_c, seed
     assert trimmed
+
+
+def test_p2p_verdicts_build_no_execution(fixture_suite, capsys, monkeypatch):
+    # the p2p verdict and `simulate` read MSCs only: with executions and
+    # events made unbuildable, both give the same answers as before
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict path built an execution")
+
+    def answers():
+        out = []
+        for name, g in fixture_suite.items():
+            if name in complements:
+                out.append(check_p2p_realisable(g, complements[name], bound=2))
+            code = main(["simulate", str(FIXTURE_DIR / f"{name}.gt"), "--json"])
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    # no procedure complements branch
+    complements = {name: gbar(g) for name, g in fixture_suite.items() if name != "branch"}
+    expected = answers()
+    monkeypatch.setattr(semantics, "Execution", refuse)
+    monkeypatch.setattr(semantics, "Event", refuse)
+    assert answers() == expected
 
 
 def test_p2p_real_holds(real):

@@ -14,8 +14,7 @@ from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_three_process_deterministic)
 from chorcheck.semantics import (Cfsm, Event, Execution, ExecutionError,
                                  local_alphabet, msc_of_execution, p2p_explore,
-                                 p2p_mscs, recv_action, send_action,
-                                 sync_explore)
+                                 p2p_mscs, recv_action, send_action)
 
 
 def s(p, q, m):
@@ -55,12 +54,6 @@ def test_execution_validation():
     assert ok.unmatched_sends == frozenset()
     with pytest.raises(ExecutionError):
         Execution((s("p", "q", "m"), r("p", "q", "m", 0), r("p", "q", "m", 0)))
-
-
-def test_sync_explore_counts(real, deadlock):
-    assert len(sync_explore(project(real)).configurations) == 3
-    graph = sync_explore(project(deadlock))
-    assert graph.accepting
 
 
 def test_msc_of_execution_interleaving_invariant():
@@ -194,7 +187,6 @@ def test_p2p_explore_real(real):
     report = p2p_explore(project(real), 1)
     assert not report.deadlocks
     assert not report.orphans
-    assert report.finals
 
 
 def test_p2p_explore_deadlock(deadlock):
@@ -239,8 +231,9 @@ def test_p2p_mscs_rsc_matches_reference(fixture_suite):
         rsc = {}  # the reference's answer per MSC, shared by the three bounds
         for bound in (1, 2, 3):
             mscs, _, non_rsc = p2p_mscs(system, bound, 6)
-            for m in mscs.keys() - rsc.keys():
-                rsc[m] = is_rsc_schedulable(m)[0]
+            for m in mscs:
+                if m not in rsc:
+                    rsc[m] = is_rsc_schedulable(m)[0]
             assert non_rsc == [m for m in mscs if not rsc[m]], (g.name, bound)
             explored, flagged = explored + len(mscs), flagged + len(non_rsc)
     assert 0 < flagged < explored
@@ -248,7 +241,7 @@ def test_p2p_mscs_rsc_matches_reference(fixture_suite):
 
 def test_p2p_mscs_matches_enumeration(fixture_suite):
     # the incremental MSCs and the memo against every execution's MSC built
-    # from scratch: same MSCs, same first executions, same bound flag
+    # from scratch: same MSCs in the same discovery order, same bound flag
     cases = [(g, bound, budget) for g in fixture_suite.values()
              for bound in (1, 2, 3) for budget in (5, 6)]
     for seed in range(30):
@@ -261,8 +254,6 @@ def test_p2p_mscs_matches_enumeration(fixture_suite):
     for g, bound, budget in cases:
         system = project(g)
         mscs, bound_hit, non_rsc = p2p_mscs(system, bound, budget)
-        for m, e in mscs.items():
-            assert msc_of_execution(e) == m, (g.name, bound, budget, str(m))
         expected, expected_hit, expected_non_rsc = p2p_mscs_by_enumeration(
             system, bound, budget)
         assert mscs == expected, (g.name, bound, budget)
@@ -286,7 +277,7 @@ def test_causal_closure_reports_non_fifo_msc(real, monkeypatch):
     e = Execution((s("p", "q", "a"), s("p", "q", "a"),
                    r("p", "q", "a", 1), r("p", "q", "a", 0)))
     m = msc_of_execution(e)
-    monkeypatch.setattr(oracle, "p2p_mscs", lambda *args: ({m: e}, False, []))
+    monkeypatch.setattr(oracle, "p2p_mscs", lambda *args: ([m], False, []))
     report = check_causal_closure(project(real), 2, 6)
     assert not report.passed
     assert report.checked_mscs == 1
