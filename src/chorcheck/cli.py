@@ -1,8 +1,16 @@
 """Command-line surface.
 
+Each command returns its payload, the dict that `--json` prints, and its
+exit code; it prints nothing itself.  In text mode `main` renders that same
+payload: a payload that carries a document (`gt`, `dot` or the `cfsms`
+texts) prints the document, or nothing when `-o` wrote it to a file; any
+other payload prints one `key: value` line per field, with each list item
+and each nested entry on an indented line of its own.
+
 Exit codes: 0 = property holds / success, 1 = property fails (witnesses
 printed), 2 = usage, parse or output error, 3 = `unknown` verdict (also
-when a bounded check would exceed its size limit).
+when a bounded check would exceed its size limit).  Errors become exit
+codes in one table, `_ERROR_CODES`, and print `error: …` on stderr.
 
 The argument parser is built once per process, on the first call of `main`.
 """
@@ -15,38 +23,67 @@ import json
 import sys
 from pathlib import Path
 
-from .complement import (NoComplementMethodError, complement_auto,
-                         complement_cartesian, complement_dual,
+from .complement import (ComplementResult, NoComplementMethodError,
+                         complement_auto, complement_cartesian, complement_dual,
                          complement_renunciation, verify_complement)
 from .formats import (ParseError, parse_cfsm, parse_gt, parse_msc, render_cfsm,
                       render_dot, render_gt)
-from .gtype import (ClassificationError, DeclarationMismatchError, GlobalType,
-                    classify, member_existential, member_universal, project)
+from .gtype import (ClassificationError, DeclarationMismatchError, classify,
+                    member_existential, member_universal, project)
 from .oracle import count_profile_check, enumerate_canonical
 from .realisability import (Status, check_p2p_realisable,
                             check_sync_realisable)
 from .semantics import p2p_explore, p2p_mscs
-from .trace import DeclarationError, Msc, SizeLimitError
+from .trace import DeclarationError, SizeLimitError
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
+_STATUS_CODES = {Status.HOLDS: EXIT_HOLDS, Status.FAILS: EXIT_FAILS,
+                 Status.UNKNOWN: EXIT_UNKNOWN}
+
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A file that cannot be read, parsed or written."""
 
 
-def _load_gt(path: str) -> GlobalType:
+# error class -> exit code; the first class that matches an error gives its code
+_ERROR_CODES = {
+    ClassificationError: EXIT_FAILS,
+    NoComplementMethodError: EXIT_FAILS,
+    SizeLimitError: EXIT_UNKNOWN,
+    CliError: EXIT_USAGE,
+    ParseError: EXIT_USAGE,
+    DeclarationError: EXIT_USAGE,
+    DeclarationMismatchError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+}
+
+
+def _read(path: str) -> str:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: Path, text: str, parents: bool = False) -> None:
     try:
-        return parse_gt(text)
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
+def _load(path: str, cfsm_too: bool = False):
+    """The global type in `path` (with `cfsm_too`, or the CFSM it holds)."""
+    text = _read(path)
+    parse = parse_cfsm if cfsm_too and text.lstrip().startswith("cfsm") else parse_gt
+    try:
+        return parse(text)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -55,144 +92,105 @@ def _word_json(word) -> list[str]:
     return [str(a) for a in word]
 
 
-def _msc_json(m: Msc) -> list[str]:
-    return _word_json(m.word)
+# ---------------------------------------------------------------------------
+# text rendering
+
+def _flat(value) -> str:
+    """One line for a list item: a word or list joined by `;`, a dict as
+    `{key: value, ...}`."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_flat(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return ";".join(_flat(v) for v in value)
+    return str(value)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            print(line)
+def _lines(payload: dict, indent: str = ""):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _lines(value, indent + "  ")
+        elif isinstance(value, list):
+            yield f"{indent}{key}: {len(value)}"
+            yield from (f"{indent}  {_flat(v)}" for v in value)
+        else:
+            yield f"{indent}{key}: {value}"
+
+
+def _render(payload: dict, output) -> str:
+    for key in ("gt", "dot", "cfsms"):   # a payload that carries a document
+        if key in payload:
+            if output:
+                return ""
+            doc = payload[key]
+            return doc if isinstance(doc, str) else "".join(t + "\n" for t in doc.values())
+    return "".join(line + "\n" for line in _lines(payload))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, exit code)
 
 
-def cmd_classify(args) -> int:
-    g = _load_gt(args.gt)
-    c = classify(g)
-    payload = {
-        "command": "classify",
-        "name": g.name,
-        "deterministic": c.deterministic,
-        "commutation_closed": c.commutation_closed,
-        "sender_driven": c.sender_driven,
-        "commutation_deterministic": c.commutation_deterministic,
-        "participant_count": c.participant_count,
-    }
-    _emit(args, payload, [
-        f"name: {g.name}",
-        f"deterministic: {c.deterministic}",
-        f"commutation_closed: {c.commutation_closed}",
-        f"sender_driven: {c.sender_driven}",
-        f"commutation_deterministic: {c.commutation_deterministic}",
-        f"participant_count: {c.participant_count}",
-    ])
-    return EXIT_HOLDS
+def cmd_classify(args):
+    g = _load(args.gt)
+    return {"command": "classify", "name": g.name, **vars(classify(g))}, EXIT_HOLDS
 
 
-def cmd_complement(args) -> int:
-    g = _load_gt(args.gt)
-    try:
-        if args.method == "dual":
-            result_gt, method, guaranteed, note = complement_dual(g), "dual", True, ""
-        elif args.method == "renunciation":
-            result_gt, method, guaranteed, note = (complement_renunciation(g),
-                                                   "renunciation", True, "")
-        elif args.method == "cartesian":
-            r = complement_cartesian(g)
-            result_gt, method, guaranteed, note = r.gtype, r.method, r.guaranteed, r.note
-        else:
-            r = complement_auto(g)
-            result_gt, method, guaranteed, note = r.gtype, r.method, r.guaranteed, r.note
-    except (ClassificationError, NoComplementMethodError) as exc:
-        print(f"complement failed: {exc}", file=sys.stderr)
-        return EXIT_FAILS
-    text = render_gt(result_gt)
+_COMPLEMENT = {
+    "dual": lambda g: ComplementResult(complement_dual(g), "dual", True),
+    "cartesian": complement_cartesian,
+    "renunciation": lambda g: ComplementResult(complement_renunciation(g),
+                                               "renunciation", True),
+    "auto": complement_auto,
+}
+
+
+def cmd_complement(args):
+    r = _COMPLEMENT[args.method](_load(args.gt))
+    text = render_gt(r.gtype)
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc}") from None
-    payload = {
-        "command": "complement",
-        "method": method,
-        "guaranteed": guaranteed,
-        "note": note,
-        "states": result_gt.automaton.n_states,
-        "gt": text,
-    }
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif not args.output:
-        sys.stdout.write(text)
-    return EXIT_HOLDS
+        _write(Path(args.output), text)
+    return {"command": "complement", "method": r.method, "guaranteed": r.guaranteed,
+            "note": r.note, "states": r.gtype.automaton.n_states, "gt": text}, EXIT_HOLDS
 
 
-def cmd_verify_complement(args) -> int:
-    g = _load_gt(args.gt)
-    gbar = _load_gt(args.gbar)
-    try:
-        report = verify_complement(g, gbar, args.max_events)
-    except (DeclarationError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-    payload = {
+def cmd_verify_complement(args):
+    report = verify_complement(_load(args.gt), _load(args.gbar), args.max_events)
+    return {
         "command": "verify-complement",
         "max_events": report.max_events,
         "universe_size": report.universe_size,
         "passed": report.passed,
-        "violations": [{"msc": _msc_json(m), "kind": kind}
+        "violations": [{"msc": _word_json(m.word), "kind": kind}
                        for m, kind in report.violations],
         "note": report.note,
-    }
-    lines = [f"universe: {report.universe_size} canonical MSCs up to "
-             f"{report.max_events} events",
-             f"passed: {report.passed}  ({report.note})"]
-    lines += [f"violation ({kind}): {m}" for m, kind in report.violations]
-    _emit(args, payload, lines)
-    return EXIT_HOLDS if report.passed else EXIT_FAILS
+    }, EXIT_HOLDS if report.passed else EXIT_FAILS
 
 
-def cmd_member(args) -> int:
-    g = _load_gt(args.gt)
+def cmd_member(args):
+    g = _load(args.gt)
     m = parse_msc(args.msc, g.declaration)
     member = member_universal(g, m) if args.universal else member_existential(g, m)
     mode = "universal" if args.universal else "existential"
-    payload = {"command": "member", "msc": _msc_json(m), "mode": mode,
-               "member": member}
-    _emit(args, payload, [f"{mode} member: {member}"])
-    return EXIT_HOLDS if member else EXIT_FAILS
+    return ({"command": "member", "msc": _word_json(m.word), "mode": mode, "member": member},
+            EXIT_HOLDS if member else EXIT_FAILS)
 
 
-def cmd_project(args) -> int:
-    g = _load_gt(args.gt)
-    system = project(g)
+def cmd_project(args):
+    system = project(_load(args.gt))
     texts = {cfsm.process: render_cfsm(cfsm, system) for cfsm in system.cfsms}
     if args.output:
-        outdir = Path(args.output)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            for process, text in texts.items():
-                (outdir / f"{process}.cfsm").write_text(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {outdir}: {exc}") from None
-    lines = ([f"wrote {len(texts)} CFSM files to {outdir}"] if args.output
-             else list(texts.values()))
-    _emit(args, {"command": "project", "cfsms": texts}, lines)
-    return EXIT_HOLDS
+        for process, text in texts.items():
+            _write(Path(args.output, f"{process}.cfsm"), text, parents=True)
+    return {"command": "project", "cfsms": texts}, EXIT_HOLDS
 
 
-def cmd_realisable(args) -> int:
-    g = _load_gt(args.gt)
-    gbar = _load_gt(args.complement)
+def cmd_realisable(args):
+    g = _load(args.gt)
+    gbar = _load(args.complement)
     if args.model == "synch":
         v = check_sync_realisable(g, gbar)
-        payload = {
+        return {
             "command": "realisable",
             "model": "synch",
             "verdict": "holds" if v.realisable else "fails",
@@ -200,25 +198,13 @@ def cmd_realisable(args) -> int:
             "cc_witness": _word_json(v.cc_witness) if v.cc_witness else None,
             "deadlock_free": v.deadlock_free,
             "deadlock_witness": v.deadlock_witness,
-        }
-        lines = [f"synchronous realisable: {v.realisable}",
-                 f"  cc_holds: {v.cc_holds}"]
-        if v.cc_witness:
-            lines.append(f"  cc_witness: {';'.join(_word_json(v.cc_witness))}")
-        lines.append(f"  deadlock_free: {v.deadlock_free}")
-        if v.deadlock_witness:
-            lines.append(f"  deadlock_witness: {v.deadlock_witness}")
-        _emit(args, payload, lines)
-        return EXIT_HOLDS if v.realisable else EXIT_FAILS
+        }, EXIT_HOLDS if v.realisable else EXIT_FAILS
 
     verdict = check_p2p_realisable(g, gbar, args.bound, args.max_events)
-    conds = {
-        "rsc": verdict.cond1_rsc,
-        "orphan_free": verdict.cond2_orphan_free,
-        "accept_completion": verdict.cond3_accept_completion,
-        "synch_realisable": verdict.cond4_synch,
-    }
-    payload = {
+    conds = zip(("rsc", "orphan_free", "accept_completion", "synch_realisable"),
+                (verdict.cond1_rsc, verdict.cond2_orphan_free,
+                 verdict.cond3_accept_completion, verdict.cond4_synch))
+    return {
         "command": "realisable",
         "model": "p2p",
         "bound": args.bound,
@@ -226,97 +212,53 @@ def cmd_realisable(args) -> int:
         "conditions": {
             name: {"status": c.status.value,
                    "witness": str(c.witness) if c.witness is not None else None}
-            for name, c in conds.items()
+            for name, c in conds
         },
         "note": ("semi-decision: conditions 1-3 checked up to the channel "
                  "bound and event budget only"),
-    }
-    lines = [f"p2p realisable (bound {args.bound}): {verdict.overall.value}"]
-    if verdict.overall is Status.UNKNOWN:
-        lines.append("  (semi-decision: the bound was hit; this is NOT a "
-                     "p2p-realisability proof)")
-    for name, c in conds.items():
-        suffix = f"  witness: {c.witness}" if c.witness is not None else ""
-        lines.append(f"  {name}: {c.status.value}{suffix}")
-    _emit(args, payload, lines)
-    if verdict.overall is Status.HOLDS:
-        return EXIT_HOLDS
-    if verdict.overall is Status.FAILS:
-        return EXIT_FAILS
-    return EXIT_UNKNOWN
+    }, _STATUS_CODES[verdict.overall]
 
 
-def cmd_simulate(args) -> int:
-    g = _load_gt(args.gt)
-    system = project(g)
+def cmd_simulate(args):
+    system = project(_load(args.gt))
     report = p2p_explore(system, args.bound)
     _, mscs_bound_hit, rsc_violations = p2p_mscs(system, args.bound, args.max_events)
 
-    def cfg_json(cfg):
-        return {
+    def stuck_json(cfg, path):
+        return {"configuration": {
             "locals": {p: system.cfsms[i].automaton.state_name(cfg.locals[i])
                        for i, p in enumerate(system.declaration.processes)},
             "channels": {f"{p}->{q}": list(ch)
                          for (p, q), ch in zip(report.channel_keys, cfg.channels)
                          if ch},
-        }
+        }, "path": _word_json(path)}
 
+    bound_hit = report.bound_hit or mscs_bound_hit
     payload = {
         "command": "simulate",
         "model": "p2p",
         "bound": args.bound,
-        "bound_hit": report.bound_hit or mscs_bound_hit,
+        "bound_hit": bound_hit,
         "configurations": len(report.configurations),
-        "deadlocks": [{"configuration": cfg_json(cfg),
-                       "path": [str(a) for a in path]}
-                      for cfg, path in report.deadlocks],
-        "orphans": [{"configuration": cfg_json(cfg),
-                     "path": [str(a) for a in path]}
-                    for cfg, path in report.orphans],
+        "deadlocks": [stuck_json(*stuck) for stuck in report.deadlocks],
+        "orphans": [stuck_json(*stuck) for stuck in report.orphans],
         "rsc_violations": [str(m) for m in rsc_violations],
     }
-    clean = not (report.deadlocks or report.orphans or rsc_violations)
-    lines = [f"configurations: {len(report.configurations)} (bound {args.bound})",
-             f"deadlocks: {len(report.deadlocks)}",
-             f"orphan configurations: {len(report.orphans)}",
-             f"non-RSC MSCs: {len(rsc_violations)}"]
-    for cfg, path in report.deadlocks:
-        lines.append(f"  deadlock after: {';'.join(str(a) for a in path)}")
-    if payload["bound_hit"]:
-        lines.append("bound hit: results cover the bounded fragment only")
-    _emit(args, payload, lines)
-    if not clean:
-        return EXIT_FAILS
-    return EXIT_UNKNOWN if payload["bound_hit"] else EXIT_HOLDS
+    if report.deadlocks or report.orphans or rsc_violations:
+        return payload, EXIT_FAILS
+    return payload, EXIT_UNKNOWN if bound_hit else EXIT_HOLDS
 
 
-def cmd_dot(args) -> int:
-    try:
-        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc}") from None
-    try:
-        obj = parse_cfsm(text) if text.lstrip().startswith("cfsm") else parse_gt(text)
-    except ParseError as exc:
-        raise CliError(f"{args.file}: {exc}") from None
-    text = render_dot(obj)
-    if args.json:
-        _emit(args, {"command": "dot", "dot": text}, [])
-    else:
-        sys.stdout.write(text)
-    return EXIT_HOLDS
+def cmd_dot(args):
+    return {"command": "dot", "dot": render_dot(_load(args.file, cfsm_too=True))}, EXIT_HOLDS
 
 
-def cmd_oracle_enumerate(args) -> int:
-    g = _load_gt(args.gt)
-    universe = enumerate_canonical(g.declaration, args.max_events)
+def cmd_oracle_enumerate(args):
+    universe = enumerate_canonical(_load(args.gt).declaration, args.max_events)
     ordered = sorted(universe, key=lambda m: (len(m), m.word))
-    payload = {"command": "oracle-enumerate", "max_events": args.max_events,
-               "count": len(universe), "mscs": [_msc_json(m) for m in ordered]}
-    lines = [f"{len(universe)} canonical MSCs up to {args.max_events} events"]
-    lines += [f"  {m}" if len(m) else "  (empty)" for m in ordered]
-    _emit(args, payload, lines)
-    return EXIT_HOLDS
+    return {"command": "oracle-enumerate", "max_events": args.max_events,
+            "count": len(universe),
+            "mscs": [_word_json(m.word) for m in ordered]}, EXIT_HOLDS
 
 
 _PREDICATES = {
@@ -327,14 +269,11 @@ _PREDICATES = {
 }
 
 
-def cmd_oracle_count_profile(args) -> int:
-    g = _load_gt(args.gt)
-    try:
-        report = count_profile_check(g.automaton, g.declaration,
-                                     _PREDICATES[args.predicate], args.max_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    payload = {
+def cmd_oracle_count_profile(args):
+    g = _load(args.gt)
+    report = count_profile_check(g.automaton, g.declaration,
+                                 _PREDICATES[args.predicate], args.max_len)
+    return {
         "command": "oracle-count-profile",
         "predicate": args.predicate,
         "max_len": args.max_len,
@@ -343,14 +282,7 @@ def cmd_oracle_count_profile(args) -> int:
         "passed": report.passed,
         "violations": [{"word": _word_json(w), "counts": list(counts)}
                        for w, counts in report.violations],
-    }
-    lines = [f"checked {report.checked_words} accepted words, "
-             f"{report.profile_words} block-shaped",
-             f"passed: {report.passed}"]
-    lines += [f"violation: {';'.join(_word_json(w))} counts={counts}"
-              for w, counts in report.violations]
-    _emit(args, payload, lines)
-    return EXIT_HOLDS if report.passed else EXIT_FAILS
+    }, EXIT_HOLDS if report.passed else EXIT_FAILS
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "types given as finite automata over communication arrows.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, subparsers=sub, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
@@ -392,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("complement", cmd_complement, help="complement a global type")
     p.add_argument("gt")
-    p.add_argument("--method", choices=("dual", "cartesian", "renunciation", "auto"),
-                   default="auto")
+    p.add_argument("--method", choices=tuple(_COMPLEMENT), default="auto")
     p.add_argument("-o", "--output")
 
     p = add("verify-complement", cmd_verify_complement,
@@ -429,15 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     ora = sub.add_parser("oracle", help="brute-force oracle entry points")
     osub = ora.add_subparsers(dest="oracle_command", required=True)
 
-    p = osub.add_parser("enumerate", help="enumerate the canonical-MSC universe")
-    p.set_defaults(func=cmd_oracle_enumerate)
-    p.add_argument("--json", action="store_true")
+    p = add("enumerate", cmd_oracle_enumerate, osub,
+            help="enumerate the canonical-MSC universe")
     p.add_argument("gt", help="any .gt file; only its declaration is used")
     p.add_argument("--max-events", type=_positive_int, default=4)
 
-    p = osub.add_parser("count-profile", help="count-profile predicate check")
-    p.set_defaults(func=cmd_oracle_count_profile)
-    p.add_argument("--json", action="store_true")
+    p = add("count-profile", cmd_oracle_count_profile, osub,
+            help="count-profile predicate check")
     p.add_argument("gt")
     p.add_argument("--predicate", choices=sorted(_PREDICATES), default="k1>k2")
     p.add_argument("--max-len", type=_non_negative_int, default=8)
@@ -452,16 +381,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
     try:
-        return args.func(args)
-    except CliError as exc:
+        payload, code = args.func(args)
+    except tuple(_ERROR_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, DeclarationError, DeclarationMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        return next(code for cls, code in _ERROR_CODES.items() if isinstance(exc, cls))
+    if args.json:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        sys.stdout.write(_render(payload, getattr(args, "output", None)))
+    return code
 
 
 if __name__ == "__main__":

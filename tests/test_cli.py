@@ -144,8 +144,9 @@ def test_realisable_p2p_unknown_is_flagged(capsys, tmp_path):
     code, out = run(capsys, "realisable", SINGLE, "--model", "p2p",
                     "--complement", str(comp), "--max-events", "1")
     assert code == 3
-    assert "unknown" in out
-    assert "NOT a p2p-realisability proof" in out
+    assert "\nverdict: unknown\n" in out
+    assert ("\nnote: semi-decision: conditions 1-3 checked up to the channel bound "
+            "and event budget only\n") in out
 
 
 def test_simulate(capsys):
@@ -181,7 +182,7 @@ def test_input_sized_searches_end_in_a_verdict(capsys, tmp_path):
     loop.write_text(LOOP)
     assert main(["simulate", str(loop), "--bound", "1", "--max-events", "1500"]) == 3
     out = capsys.readouterr().out
-    assert "bound hit" in out and "non-RSC MSCs: 0\n" in out
+    assert "\nbound_hit: True\n" in out and "\nrsc_violations: 0\n" in out
     msc = ";".join(["p->q:m1"] * 500)
     for extra in ([], ["--universal"]):
         code, out = run(capsys, "member", G0, "--msc", msc, *extra)
