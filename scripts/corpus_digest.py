@@ -60,7 +60,7 @@ LAW_COMPLEMENT_METHODS = ("dual", "renunciation", "cartesian")
 # sha256 of each line's output, by line label
 EXPECTED = {
     "realisable --model p2p --bound 2 --max-events 8 --json":
-        "f5e156ced51e04e5b73af4f671c4155bb5b78a1bd7565ce0dfbd0956c7e8b982",
+        "e8e8a788351f5d455bcf722c48c36e9b8332800df074b1b4c2441ae436429bb6",
     "realisable --model synch --json":
         "d2155926ded81af640d782d095e18c1cd93939d780da0ed06c6b74988fc3c8a8",
     "simulate --bound 2 --max-events 8 --json":

@@ -51,14 +51,10 @@ class CliError(Exception):
 
 # error class -> exit code; the first class that matches an error gives its code
 _ERROR_CODES = {
-    ClassificationError: EXIT_FAILS,
-    NoComplementMethodError: EXIT_FAILS,
+    ClassificationError: EXIT_FAILS, NoComplementMethodError: EXIT_FAILS,
     SizeLimitError: EXIT_UNKNOWN,
-    CliError: EXIT_USAGE,
-    ParseError: EXIT_USAGE,
-    DeclarationError: EXIT_USAGE,
-    DeclarationMismatchError: EXIT_USAGE,
-    ValueError: EXIT_USAGE,
+    CliError: EXIT_USAGE, ParseError: EXIT_USAGE, DeclarationError: EXIT_USAGE,
+    DeclarationMismatchError: EXIT_USAGE, ValueError: EXIT_USAGE,
 }
 
 
@@ -90,6 +86,13 @@ def _load(path: str, cfsm_too: bool = False):
 
 def _word_json(word) -> list[str]:
     return [str(a) for a in word]
+
+
+def _witness_json(w) -> str | None:
+    """A word of arrows or local actions joins its letters with `;`."""
+    if isinstance(w, tuple):
+        return ";".join(_word_json(w))
+    return None if w is None else str(w)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def cmd_realisable(args):
         "verdict": verdict.overall.value,
         "conditions": {
             name: {"status": c.status.value,
-                   "witness": str(c.witness) if c.witness is not None else None}
+                   "witness": _witness_json(c.witness)}
             for name, c in conds
         },
         "note": ("semi-decision: conditions 1-3 checked up to the channel "

@@ -64,6 +64,8 @@ class Status(str, Enum):
 @dataclass(frozen=True)
 class Condition:
     status: Status
+    # condition 1: a non-RSC MSC; 2: the path of local actions to an orphan;
+    # 4: a CC arrow word or the name of a stuck product state
     witness: object = None
 
 
@@ -112,7 +114,7 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
 
     report = p2p_explore(system, bound)
     if report.orphans:
-        cond2 = Condition(Status.FAILS, report.orphans[0])
+        cond2 = Condition(Status.FAILS, report.orphans[0][1])
     else:
         cond2 = Condition(Status.UNKNOWN if report.bound_hit else Status.HOLDS)
 

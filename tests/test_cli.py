@@ -13,7 +13,7 @@ import chorcheck
 from chorcheck import oracle
 from chorcheck.cli import build_parser, main
 
-from conftest import FIXTURE_DIR, load_schema
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture, load_schema
 
 G0 = str(FIXTURE_DIR / "g0.gt")
 GSD = str(FIXTURE_DIR / "g_sd.gt")
@@ -411,3 +411,53 @@ def test_p2p_output_does_not_depend_on_hash_seed(tmp_path):
             assert r.returncode == 1, (argv, seed, r.stderr)
             outputs.add(r.stdout)
         assert len(outputs) == 1, argv
+
+
+def fixture_argvs(tmp_path):
+    """Every command on every fixture.  `realisable` takes the fixture's auto
+    complement, and is left out where there is none."""
+    for name in FIXTURE_NAMES:
+        gt = str(FIXTURE_DIR / f"{name}.gt")
+        comp = str(tmp_path / f"{name}.complement.gt")
+        has_comp = main(["complement", gt, "-o", comp]) == 0
+        yield ["classify", gt]
+        for method in ("auto", "dual", "cartesian", "renunciation"):
+            yield ["complement", gt, "--method", method]
+        yield ["verify-complement", gt, comp if has_comp else gt, "--max-events", "3"]
+        arrow = str(load_fixture(name).declaration.arrows[0])
+        yield ["member", gt, "--msc", arrow]
+        yield ["member", gt, "--msc", arrow, "--universal"]
+        yield ["project", gt]
+        for model in ("synch", "p2p") if has_comp else ():
+            yield ["realisable", gt, "--model", model, "--complement", comp]
+        yield ["simulate", gt]
+        yield ["dot", gt]
+        yield ["oracle", "enumerate", gt, "--max-events", "2"]
+        yield ["oracle", "count-profile", gt, "--max-len", "4"]
+
+
+@pytest.fixture
+def fixture_outputs(capsys, tmp_path):
+    """(argv, exit code, JSON payload, text output) of every command on every
+    fixture that gives a payload."""
+    outputs = []
+    for argv in fixture_argvs(tmp_path):
+        capsys.readouterr()
+        code = main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert main(argv) == code, argv
+        if out:
+            outputs.append((argv, code, json.loads(out), capsys.readouterr().out))
+    assert {payload["command"] for _, _, payload, _ in outputs} == {
+        "classify", "complement", "verify-complement", "member", "project",
+        "realisable", "simulate", "dot", "oracle-enumerate", "oracle-count-profile"}
+    return outputs
+
+
+def test_no_witness_is_a_python_repr(fixture_outputs):
+    # p2p witnesses are words of arrows or local actions, not str() of objects
+    reprs = ("Arrow(", "P2pConfiguration(", "LocalAction(")
+    assert any(argv[0] == "realisable" and "p2p" in argv and code == 1
+               for argv, code, _, _ in fixture_outputs)
+    for argv, _, payload, _ in fixture_outputs:
+        assert not any(r in json.dumps(payload) for r in reprs), argv
