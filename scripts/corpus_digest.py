@@ -118,83 +118,86 @@ def digest_line(label: str, runs: list[tuple[list[str], Path | None]]) -> bool:
     return same
 
 
+def digest_lines(tmp: str):
+    """Yield each line's label and runs, in print order, with the corpus
+    files written under `tmp`.  Some runs read files that the runs of an
+    earlier line write, so run each line before taking the next."""
+    recorded = json.loads(RECORDED.read_text())
+
+    def write(name: str, text: str) -> str:
+        path = Path(tmp, f"{name}.gt")
+        path.write_text(text)
+        return str(path)
+
+    p2p = [(write(f"p2p{i}", e["gt"]), write(f"p2p{i}.complement", e["complement"]))
+           for i, e in enumerate(recorded["p2p"])]
+    for command, options in P2P_COMMANDS:
+        runs = []
+        for gt, comp in p2p:
+            argv = [command, gt, *options]
+            if command == "realisable":
+                argv += ["--complement", comp]
+            runs.append((argv, None))
+        yield f"{command} {' '.join(options)}", runs
+
+    closure = [write(f"abs{i}", e["gt"]) for i, e in enumerate(recorded["closure"])]
+    for command, options in CLOSURE_COMMANDS:
+        yield (f"closure {command} {' '.join(options)}",
+               [([command, gt, *options], None) for gt in closure])
+
+    law = [(write(f"law{i}", e["gt"]), Path(tmp, f"law{i}.complement.gt"))
+           for i, e in enumerate(recorded["complement-law"]) if "gt" in e]
+    yield "complement-law complement --method auto -o --json", [
+        (["complement", gt, "--method", "auto", "-o", str(comp), "--json"], comp)
+        for gt, comp in law]
+    yield f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} --json", [
+        (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS, "--json"],
+         None) for gt, comp in law]
+    runs = []
+    for gt, _ in law:
+        cart = Path(gt).with_suffix(".cartesian.gt")
+        runs.append((["complement", gt, "--method", "cartesian", "-o", str(cart),
+                      "--json"], cart))
+        runs += [(["verify-complement", gt, other, "--max-events",
+                   LAW_VIOLATION_MAX_EVENTS, "--json"], None)
+                 for other in (str(cart), gt)]
+    yield (f"complement-law verify-complement --max-events {LAW_VIOLATION_MAX_EVENTS} "
+           "--json against the Cartesian candidate and itself", runs)
+
+    types = {(name, side): write(f"{name}.{side}", entry[side])
+             for name, entry in recorded["member_types"].items()
+             for side in ("gt", "complement")}
+    runs = []
+    for e in recorded["complement-law"]:
+        if "gt" in e:
+            continue
+        for side in ("gt", "complement"):
+            for universal in ((False, True) if e["universal"] else (False,)):
+                argv = ["member", types[(e["type"], side)], "--msc", e["msc"], "--json"]
+                runs.append((argv + ["--universal"] * universal, None))
+    yield "complement-law member --json", runs
+
+    cfsm_dirs = [Path(gt).with_suffix(".cfsm") for gt, _ in law]
+    yield "complement-law project -o --json", [
+        (["project", gt, "-o", str(out), "--json"], None)
+        for (gt, _), out in zip(law, cfsm_dirs)]
+    yield "complement-law dot on the projected .cfsm files", [
+        (["dot", str(cfsm)], None)
+        for out in cfsm_dirs for cfsm in sorted(out.glob("*.cfsm"))]
+    yield "complement-law dot --json", [(["dot", gt, "--json"], None) for gt, _ in law]
+    for method in LAW_COMPLEMENT_METHODS:
+        yield f"complement-law complement --method {method} --json", [
+            (["complement", gt, "--method", method, "--json"], None) for gt, _ in law]
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         print("error: run with PYTHONHASHSEED=0, or the digests depend on the "
               "hash seed", file=sys.stderr)
         return 2
 
-    recorded = json.loads(RECORDED.read_text())
-    same = []
     with tempfile.TemporaryDirectory() as tmp:
-        def write(name: str, text: str) -> str:
-            path = Path(tmp, f"{name}.gt")
-            path.write_text(text)
-            return str(path)
-
-        p2p = [(write(f"p2p{i}", e["gt"]), write(f"p2p{i}.complement", e["complement"]))
-               for i, e in enumerate(recorded["p2p"])]
-        for command, options in P2P_COMMANDS:
-            runs = []
-            for gt, comp in p2p:
-                argv = [command, gt, *options]
-                if command == "realisable":
-                    argv += ["--complement", comp]
-                runs.append((argv, None))
-            same.append(digest_line(f"{command} {' '.join(options)}", runs))
-
-        closure = [write(f"abs{i}", e["gt"]) for i, e in enumerate(recorded["closure"])]
-        for command, options in CLOSURE_COMMANDS:
-            same.append(digest_line(f"closure {command} {' '.join(options)}",
-                                    [([command, gt, *options], None) for gt in closure]))
-
-        law = [(write(f"law{i}", e["gt"]), Path(tmp, f"law{i}.complement.gt"))
-               for i, e in enumerate(recorded["complement-law"]) if "gt" in e]
-        same.append(digest_line("complement-law complement --method auto -o --json", [
-            (["complement", gt, "--method", "auto", "-o", str(comp), "--json"], comp)
-            for gt, comp in law]))
-        same.append(digest_line(
-            f"complement-law verify-complement --max-events {LAW_MAX_EVENTS} --json", [
-                (["verify-complement", gt, str(comp), "--max-events", LAW_MAX_EVENTS,
-                  "--json"], None) for gt, comp in law]))
-        runs = []
-        for gt, _ in law:
-            cart = Path(gt).with_suffix(".cartesian.gt")
-            runs.append((["complement", gt, "--method", "cartesian", "-o", str(cart),
-                          "--json"], cart))
-            runs += [(["verify-complement", gt, other, "--max-events",
-                       LAW_VIOLATION_MAX_EVENTS, "--json"], None)
-                     for other in (str(cart), gt)]
-        same.append(digest_line(
-            f"complement-law verify-complement --max-events {LAW_VIOLATION_MAX_EVENTS} "
-            "--json against the Cartesian candidate and itself", runs))
-
-        types = {(name, side): write(f"{name}.{side}", entry[side])
-                 for name, entry in recorded["member_types"].items()
-                 for side in ("gt", "complement")}
-        runs = []
-        for e in recorded["complement-law"]:
-            if "gt" in e:
-                continue
-            for side in ("gt", "complement"):
-                for universal in ((False, True) if e["universal"] else (False,)):
-                    argv = ["member", types[(e["type"], side)], "--msc", e["msc"], "--json"]
-                    runs.append((argv + ["--universal"] * universal, None))
-        same.append(digest_line("complement-law member --json", runs))
-
-        cfsm_dirs = [Path(gt).with_suffix(".cfsm") for gt, _ in law]
-        same.append(digest_line("complement-law project -o --json", [
-            (["project", gt, "-o", str(out), "--json"], None)
-            for (gt, _), out in zip(law, cfsm_dirs)]))
-        same.append(digest_line("complement-law dot on the projected .cfsm files", [
-            (["dot", str(cfsm)], None)
-            for out in cfsm_dirs for cfsm in sorted(out.glob("*.cfsm"))]))
-        same.append(digest_line("complement-law dot --json",
-                                [(["dot", gt, "--json"], None) for gt, _ in law]))
-        for method in LAW_COMPLEMENT_METHODS:
-            same.append(digest_line(f"complement-law complement --method {method} --json", [
-                (["complement", gt, "--method", method, "--json"], None)
-                for gt, _ in law]))
+        same = [digest_line(label, runs) for label, runs in digest_lines(tmp)]
     return 0 if all(same) else 1
 
 

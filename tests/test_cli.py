@@ -149,6 +149,42 @@ def test_realisable_p2p_unknown_is_flagged(capsys, tmp_path):
             "and event budget only\n") in out
 
 
+THREE_SENDS = """gtype three {
+  processes: p, q;
+  messages: a;
+  states: s0*, s1, s2, s3+;
+  s0 -- p->q:a --> s1;
+  s1 -- p->q:a --> s2;
+  s2 -- p->q:a --> s3;
+}
+"""
+
+
+def test_channel_bound_cut_is_unknown(capsys, tmp_path):
+    # the third send finds the channel full at bound 2, well within the event
+    # budget: only the channel bound cuts the search, so conditions 1-3 and
+    # the verdict read `unknown`, and simulate reports the bound hit
+    gt, comp = str(tmp_path / "three.gt"), str(tmp_path / "three.complement.gt")
+    Path(gt).write_text(THREE_SENDS)
+    assert main(["complement", gt, "-o", comp]) == 0
+    code, payload = run_json(capsys, "realisable", "realisable", gt, "--model", "p2p",
+                             "--complement", comp, "--bound", "2", "--max-events", "8")
+    assert code == 3 and payload["verdict"] == "unknown"
+    assert {name: c["status"] for name, c in payload["conditions"].items()} == {
+        "rsc": "unknown", "orphan_free": "unknown", "accept_completion": "unknown",
+        "synch_realisable": "holds"}
+    code, payload = run_json(capsys, "simulate", "simulate", gt, "--bound", "2",
+                             "--max-events", "8")
+    assert code == 3 and payload["bound_hit"] is True
+
+
+def test_output_file_takes_the_document(capsys, tmp_path):
+    # with -o the document goes to the file, and text mode prints nothing
+    for argv in (["complement", GSD, "-o", str(tmp_path / "c.gt")],
+                 ["project", REAL, "-o", str(tmp_path / "cfsms")]):
+        assert run(capsys, *argv) == (0, ""), argv
+
+
 def test_simulate(capsys):
     code, payload = run_json(capsys, "simulate", "simulate", CROSS,
                              "--bound", "2")
@@ -461,3 +497,39 @@ def test_no_witness_is_a_python_repr(fixture_outputs):
                for argv, code, _, _ in fixture_outputs)
     for argv, _, payload, _ in fixture_outputs:
         assert not any(r in json.dumps(payload) for r in reprs), argv
+
+
+
+def scalars(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [s for v in value for s in scalars(v)]
+    return [value]
+
+
+def test_text_renders_the_json_payload(fixture_outputs):
+    # a document prints as it is; any other payload prints each scalar field
+    # as `key: value` and each list as `key: length`, indented under the key
+    # of its dict, and then each list item on a line that holds its scalars
+    for argv, _, payload, text in fixture_outputs:
+        doc = payload.get("gt", payload.get("dot", payload.get("cfsms")))
+        if doc is not None:
+            assert text == (doc if isinstance(doc, str)
+                            else "".join(t + "\n" for t in doc.values())), argv
+            continue
+        lines = text.splitlines()
+        fields = [(payload, "")]
+        while fields:
+            entries, indent = fields.pop()
+            for key, value in entries.items():
+                if isinstance(value, dict):
+                    assert f"{indent}{key}:" in lines, (argv, key)
+                    fields.append((value, indent + "  "))
+                elif isinstance(value, list):
+                    at = lines.index(f"{indent}{key}: {len(value)}")
+                    for line, item in zip(lines[at + 1:], value):
+                        assert line.startswith(indent + "  "), (argv, key)
+                        assert all(str(s) in line for s in scalars(item)), (argv, key)
+                else:
+                    assert f"{indent}{key}: {value}" in lines, (argv, key)

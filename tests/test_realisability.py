@@ -47,7 +47,9 @@ def test_deadlock_fails_only_deadlock_clause(deadlock):
     v = check_sync_realisable(deadlock, gbar(deadlock))
     assert v.cc_holds
     assert v.deadlock_free is False
-    assert v.deadlock_witness is not None
+    # the product has two stuck states, (1,1,2,2) and (2,2,1,1): the witness
+    # names the first in state order
+    assert v.deadlock_witness == "(1,1,2,2)"
     assert lower_inclusion(deadlock)
     assert not v.realisable
 

@@ -9,14 +9,25 @@ import chorcheck
 from conftest import REPO
 
 AUDIT = str(REPO / "scripts" / "complement_audit.py")
+DIGEST = REPO / "scripts" / "corpus_digest.py"
+
+
+def src_env(**extra):
+    src = str(Path(chorcheck.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def run_audit(*args):
-    src = str(Path(chorcheck.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, AUDIT, *args], env=env,
+    return subprocess.run([sys.executable, AUDIT, *args], env=src_env(),
                           capture_output=True, text=True, timeout=60)
+
+
+def load_digest_script():
+    spec = importlib.util.spec_from_file_location("corpus_digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
 
 
 def test_complement_audit_bounds():
@@ -34,20 +45,16 @@ def test_complement_audit_bounds():
 
 
 def test_corpus_digest_requires_hash_seed_zero():
-    script = str(REPO / "scripts" / "corpus_digest.py")
     for seed in ("1", "random"):
         env = {**os.environ, "PYTHONHASHSEED": seed}
-        r = subprocess.run([sys.executable, script], env=env,
+        r = subprocess.run([sys.executable, str(DIGEST)], env=env,
                            capture_output=True, text=True, timeout=60)
         assert r.returncode == 2, seed
         assert r.stderr.startswith("error:") and not r.stdout
 
 
 def test_corpus_digest_exits_1_on_a_changed_digest(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "corpus_digest", REPO / "scripts" / "corpus_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = load_digest_script()
     monkeypatch.setenv("PYTHONHASHSEED", "0")
     committed = list(digest.EXPECTED.values())
     # the runner gives back the committed digests in line order: no CLI runs
@@ -65,3 +72,27 @@ def test_corpus_digest_exits_1_on_a_changed_digest(monkeypatch, capsys):
     flagged = [line for line in capsys.readouterr().out.splitlines()
                if line.endswith(" CHANGED")]
     assert len(flagged) == 1 and flagged[0].startswith(changed + ":")
+
+
+def test_fast_corpus_digest_lines_are_unchanged():
+    # the synch line and the ten complement-law lines, run for real: their
+    # JSON covers member, project, dot, complement, verify-complement and the
+    # synch verdict, and each digest must equal the committed one
+    code = f"""
+import importlib.util, tempfile
+spec = importlib.util.spec_from_file_location("corpus_digest", {str(DIGEST)!r})
+digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(digest)
+with tempfile.TemporaryDirectory() as tmp:
+    for label, runs in digest.digest_lines(tmp):
+        if label == "realisable --model synch --json" or label.startswith("complement-law "):
+            print(digest.run_digest(runs), label)
+"""
+    r = subprocess.run([sys.executable, "-c", code], env=src_env(PYTHONHASHSEED="0"),
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    lines = [line.split(" ", 1) for line in r.stdout.splitlines()]
+    expected = load_digest_script().EXPECTED
+    assert len(lines) == 11
+    for digest, label in lines:
+        assert digest == expected[label], label
