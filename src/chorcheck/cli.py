@@ -98,6 +98,7 @@ def _witness_json(w) -> str | None:
 # ---------------------------------------------------------------------------
 # text rendering
 
+
 def _flat(value) -> str:
     """One line for a list item: a word or list joined by `;`, a dict as
     `{key: value, ...}`."""
