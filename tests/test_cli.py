@@ -499,7 +499,6 @@ def test_no_witness_is_a_python_repr(fixture_outputs):
         assert not any(r in json.dumps(payload) for r in reprs), argv
 
 
-
 def scalars(value):
     if isinstance(value, dict):
         value = list(value.values())
