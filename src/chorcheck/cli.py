@@ -30,7 +30,6 @@ from .formats import (ParseError, parse_cfsm, parse_gt, parse_msc, render_cfsm,
                       render_dot, render_gt)
 from .gtype import (ClassificationError, DeclarationMismatchError, classify,
                     member_existential, member_universal, project)
-from .oracle import count_profile_check, enumerate_canonical
 from .realisability import (Status, check_p2p_realisable,
                             check_sync_realisable)
 from .semantics import p2p_explore, p2p_mscs
@@ -226,15 +225,14 @@ def cmd_realisable(args):
 def cmd_simulate(args):
     system = project(_load(args.gt))
     report = p2p_explore(system, args.bound)
-    _, mscs_bound_hit, rsc_violations = p2p_mscs(system, args.bound, args.max_events)
+    _, mscs_bound_hit, rsc_violations = p2p_mscs(report, args.max_events)
 
     def stuck_json(cfg, path):
         return {"configuration": {
-            "locals": {p: system.cfsms[i].automaton.state_name(cfg.locals[i])
-                       for i, p in enumerate(system.declaration.processes)},
-            "channels": {f"{p}->{q}": list(ch)
-                         for (p, q), ch in zip(report.channel_keys, cfg.channels)
-                         if ch},
+            "locals": {p: c.automaton.state_name(s)
+                       for p, c, s in zip(report.processes, system.cfsms, cfg)},
+            "channels": {f"{p}->{q}": list(ch) for (p, q), ch
+                         in zip(report.channel_keys, cfg[len(system.cfsms):]) if ch},
         }, "path": _word_json(path)}
 
     bound_hit = report.bound_hit or mscs_bound_hit
@@ -258,6 +256,8 @@ def cmd_dot(args):
 
 
 def cmd_oracle_enumerate(args):
+    from .oracle import enumerate_canonical  # only the oracle commands load the oracle
+
     universe = enumerate_canonical(_load(args.gt).declaration, args.max_events)
     ordered = sorted(universe, key=lambda m: (len(m), m.word))
     return {"command": "oracle-enumerate", "max_events": args.max_events,
@@ -274,6 +274,8 @@ _PREDICATES = {
 
 
 def cmd_oracle_count_profile(args):
+    from .oracle import count_profile_check
+
     g = _load(args.gt)
     report = count_profile_check(g.automaton, g.declaration,
                                  _PREDICATES[args.predicate], args.max_len)

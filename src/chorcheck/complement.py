@@ -22,6 +22,9 @@ from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD
                     Declaration, Msc, SizeLimitError, _insert, _insertion_point,
                     commute)
 
+# the event bound up to which `complement_auto` self-checks a Cartesian complement
+SELF_CHECK_BOUND = 5
+
 
 class NoComplementMethodError(Exception):
     """No complementation procedure applies; the type may be non-complementable."""
@@ -148,7 +151,7 @@ def complement_renunciation(g: GlobalType) -> GlobalType:
                       f"renunciation({g.name})" if g.name else "")
 
 
-def complement_auto(g: GlobalType, self_check_bound: int = 5) -> ComplementResult:
+def complement_auto(g: GlobalType) -> ComplementResult:
     """Pick a complementation procedure: dual, then renunciation, then a
     self-checked Cartesian abstraction."""
     if is_deterministic(g) and (participant_count(g) <= 3
@@ -159,11 +162,11 @@ def complement_auto(g: GlobalType, self_check_bound: int = 5) -> ComplementResul
     if is_commutation_deterministic(candidate):
         return ComplementResult(complement_renunciation(candidate), "renunciation", True)
     cart = complement_cartesian(g)
-    report = verify_complement(g, cart.gtype, self_check_bound)
+    report = verify_complement(g, cart.gtype, SELF_CHECK_BOUND)
     if report.passed:
         return ComplementResult(
             cart.gtype, "cartesian", False,
-            note=f"Cartesian complement self-checked up to {self_check_bound} events; "
+            note=f"Cartesian complement self-checked up to {SELF_CHECK_BOUND} events; "
                  "exactness beyond the bound is not guaranteed")
     raise NoComplementMethodError(
         "no applicable complementation procedure; the type may be non-complementable")

@@ -22,7 +22,7 @@ import re
 from .automata import Nfa, determinise
 from .gtype import GlobalType
 from .semantics import Cfsm, LocalAction, System
-from .trace import Arrow, Declaration, DeclarationError
+from .trace import Arrow, Declaration, DeclarationError, msc_of, parse_arrow
 
 IDENT = r"[A-Za-z][A-Za-z0-9_']*"
 
@@ -343,18 +343,11 @@ def parse_cfsm(text: str) -> Cfsm:
     return Cfsm(process, determinise(nfa))
 
 
-def render_cfsm(cfsm: Cfsm, system: System | None = None) -> str:
+def render_cfsm(cfsm: Cfsm, system: System) -> str:
     d = cfsm.automaton
-    decl_lines = []
-    if system is not None:
-        decl_lines.append("  processes: " + ", ".join(system.declaration.processes) + ";")
-        decl_lines.append("  messages: " + ", ".join(system.declaration.messages) + ";")
-    else:
-        procs = {cfsm.process} | {a.peer for a in d.alphabet}
-        msgs = {a.message for a in d.alphabet}
-        decl_lines.append("  processes: " + ", ".join(sorted(procs)) + ";")
-        decl_lines.append("  messages: " + ", ".join(sorted(msgs)) + ";")
-    lines = [f"cfsm {cfsm.process}_machine of {cfsm.process} {{"] + decl_lines
+    lines = [f"cfsm {cfsm.process}_machine of {cfsm.process} {{",
+             "  processes: " + ", ".join(system.declaration.processes) + ";",
+             "  messages: " + ", ".join(system.declaration.messages) + ";"]
     states = []
     for s in range(d.n_states):
         mark = ("*" if s in d.initial else "") + ("+" if s in d.accepting else "")
@@ -368,8 +361,6 @@ def render_cfsm(cfsm: Cfsm, system: System | None = None) -> str:
 
 def parse_msc(text: str, declaration: Declaration):
     """Parse a semicolon-separated arrow word into a canonical trace."""
-    from .trace import msc_of, parse_arrow
-
     try:
         word = tuple(parse_arrow(part.strip())
                      for part in text.strip().split(";") if part.strip())

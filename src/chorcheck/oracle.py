@@ -3,9 +3,9 @@
 Everything here enumerates: canonical traces over a small arrow alphabet,
 bounded existential MSC languages, the xor complement law, the
 count-profile characterisation used by the non-complementability fixture,
-the bounded p2p executions with their MSCs, and the linearisations and
-FIFO and RSC checks of p2p MSCs.  These are the oracles the cleverer
-constructions are tested against; no verdict uses them.
+the p2p step relation, the bounded p2p executions with their MSCs, and the
+linearisations and FIFO and RSC checks of p2p MSCs.  These are the oracles
+the cleverer constructions are tested against; no verdict uses them.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 from .automata import Nfa, eps_eliminate, words
 from .realisability import Status, check_p2p_realisable
-from .semantics import (Event, Execution, P2pMsc, System, _successors,
-                        msc_of_execution, p2p_mscs)
+from .semantics import (Event, Execution, P2pMsc, System, msc_of_execution,
+                        p2p_explore, p2p_mscs)
 from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD,
                     Declaration, Msc, SizeLimitError, is_normal_form, msc_of)
 
 
 def enumerate_canonical(declaration: Declaration, max_events: int,
-                        max_arrows: int = DEFAULT_MAX_ARROWS,
-                        max_events_limit: int = DEFAULT_MAX_EVENTS,
                         memory_guard: int = DEFAULT_MEMORY_GUARD) -> set[Msc]:
     """All canonical traces with at most `max_events` events.
 
@@ -32,10 +30,10 @@ def enumerate_canonical(declaration: Declaration, max_events: int,
     immediately.
     """
     arrows = declaration.arrows
-    if len(arrows) > max_arrows:
-        raise SizeLimitError(f"{len(arrows)} arrows exceeds the limit {max_arrows}")
-    if max_events > max_events_limit:
-        raise SizeLimitError(f"bound {max_events} exceeds the limit {max_events_limit}")
+    if len(arrows) > DEFAULT_MAX_ARROWS:
+        raise SizeLimitError(f"{len(arrows)} arrows exceeds the limit {DEFAULT_MAX_ARROWS}")
+    if max_events > DEFAULT_MAX_EVENTS:
+        raise SizeLimitError(f"bound {max_events} exceeds the limit {DEFAULT_MAX_EVENTS}")
     result = {msc_of((), declaration)}
     frontier = [()]
     for _ in range(max_events):
@@ -272,16 +270,60 @@ def is_p2p_execution_by_sequence(e: Execution) -> bool:
     return True
 
 
+def p2p_steps(system: System, bound: int):
+    """The p2p step relation with per-channel capacity `bound`, written apart
+    from `semantics.p2p_explore`.
+
+    A configuration is (local states, channel contents), with one channel
+    per ordered pair of distinct processes in declaration order.  Returns
+    the initial configuration and `steps`, which maps a configuration to its
+    enabled (action, next configuration) pairs, per process in declaration
+    order and per action in its CFSM's alphabet order, and to whether the
+    bound blocked a send.
+    """
+    procs = system.declaration.processes
+    channels = {pair: k for k, pair in enumerate(
+        (p, q) for p in procs for q in procs if p != q)}
+    # per process: local state -> its (action, target) pairs in alphabet order
+    moves = [{s: [(x, a.delta[(s, x)]) for x in a.alphabet if (s, x) in a.delta]
+              for s in range(a.n_states)} for a in (c.automaton for c in system.cfsms)]
+    init = (tuple(next(iter(c.automaton.initial)) for c in system.cfsms),
+            tuple(() for _ in channels))
+
+    def steps(cfg):
+        states, contents = cfg
+        enabled, blocked = [], False
+        for i, state in enumerate(states):
+            for act, dst in moves[i][state]:
+                if act.is_send:
+                    k = channels[(act.process, act.peer)]
+                    if len(contents[k]) == bound:
+                        blocked = True
+                        continue
+                    content = contents[k] + (act.message,)
+                else:
+                    k = channels[(act.peer, act.process)]
+                    if contents[k][:1] != (act.message,):
+                        continue
+                    content = contents[k][1:]
+                enabled.append((act, (states[:i] + (dst,) + states[i + 1:],
+                                      contents[:k] + (content,) + contents[k + 1:])))
+        return enabled, blocked
+
+    return init, steps
+
+
 def p2p_mscs_by_enumeration(system: System, bound: int, max_events: int = 8):
-    """`semantics.p2p_mscs` without its memo: every bounded execution is
-    enumerated, each receive is matched to its channel's oldest unreceived
-    send by scanning the events, and each MSC is built from scratch.
+    """`semantics.p2p_mscs` without its memo or its configuration graph:
+    every bounded execution is enumerated through `p2p_steps`, each receive
+    is matched to its channel's oldest unreceived send by scanning the
+    events, and each MSC is built from scratch.
 
     Returns the same (MSCs in order of first discovery, bound_hit,
     non_rsc) triple, in the same depth-first order, with each MSC's
     RSC-ness decided by `is_rsc_schedulable`.
     """
-    _, init, steps = _successors(system, bound)
+    init, steps = p2p_steps(system, bound)
     mscs = {}  # an ordered set
     bound_hit = False
 
@@ -293,7 +335,7 @@ def p2p_mscs_by_enumeration(system: System, bound: int, max_events: int = 8):
             bound_hit = bound_hit or bool(enabled)
             return
         bound_hit = bound_hit or blocked_by_bound
-        for act, _, nxt in enabled:
+        for act, nxt in enabled:
             if act.is_send:
                 ev = Event(True, act.process, act.peer, act.message)
             else:
@@ -329,7 +371,7 @@ def check_causal_closure(system: System, bound: int,
     so it runs once per MSC, on its first linearisation; each linearisation
     is checked on its event sequence.
     """
-    mscs, _, _ = p2p_mscs(system, bound, max_events)
+    mscs, _, _ = p2p_mscs(p2p_explore(system, bound), max_events)
     violations = []
     n_lins = 0
     for m in mscs:

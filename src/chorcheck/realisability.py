@@ -1,8 +1,8 @@
 """Deadlock-free realisability: exact in the synchronous model, bounded
 semi-decision in the p2p model via the four-condition reduction.
 
-The p2p check explores the projected system's MSCs once, within a channel
-bound and an event budget, and its configurations once, within the bound.
+The p2p check builds the projected system's configuration graph once,
+within a channel bound, and walks it for the MSCs within an event budget.
 The brute-force counterparts it is tested against are in `oracle.py`.
 """
 
@@ -92,10 +92,11 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
                          max_events: int = 8) -> P2pVerdict:
     """The four-condition reduction to synchronous realisability.
 
-    Conditions 1-3 come from one bounded-channel exploration and read
-    `unknown` when it was cut short; condition 4 is exact.  Condition 1
-    fails on the first non-RSC MSC that `p2p_mscs` found, which decides
-    RSC-ness while it explores.
+    Conditions 1-3 come from one bounded-channel configuration graph and
+    read `unknown` when it was cut short; condition 4 is exact.  Condition 2
+    reads the graph's orphans.  Condition 1 fails on the first non-RSC MSC
+    that `p2p_mscs` found while it walked the graph within the event budget,
+    deciding RSC-ness as it goes.
 
     Condition 3 asks that each MSC of g's accept-completion (g trimmed, with
     every state accepting) be a prefix of an MSC of g.  Within a bound and
@@ -105,14 +106,13 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     """
     # first, so that a declaration mismatch is raised before any exploration
     synch = check_sync_realisable(g, gbar)
-    system = project(g)
-    _, bound_hit, non_rsc = p2p_mscs(system, bound, max_events)
+    report = p2p_explore(project(g), bound)
+    _, bound_hit, non_rsc = p2p_mscs(report, max_events)
 
     cond1 = cond3 = Condition(Status.UNKNOWN if bound_hit else Status.HOLDS)
     if non_rsc:
         cond1 = Condition(Status.FAILS, non_rsc[0])
 
-    report = p2p_explore(system, bound)
     if report.orphans:
         cond2 = Condition(Status.FAILS, report.orphans[0][1])
     else:

@@ -4,15 +4,15 @@ The p2p model has one FIFO channel per ordered pair of processes.  The
 exploration is bounded: a send is enabled only while its channel holds
 fewer than `bound` messages, and the report flags when that bound was the
 only thing blocking a continuation (making every verdict derived from the
-exploration a semi-decision).
+exploration a semi-decision).  `p2p_explore` is the one search over
+configurations: it builds the configuration graph once, and `p2p_mscs`
+walks that graph for the MSCs within an event budget.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .automata import Nfa
 from .trace import Declaration
@@ -212,109 +212,108 @@ def msc_of_execution(e: Execution) -> P2pMsc:
 # p2p exploration
 
 
-class P2pConfiguration(NamedTuple):
-    locals: tuple[int, ...]
-    channels: tuple[tuple[str, ...], ...]  # aligned with the channel key order
-
-
 @dataclass
 class P2pReport:
+    """The configuration graph of the p2p semantics within a channel bound.
+
+    A configuration is a flat tuple: the local state of each process, in
+    declaration order, then the contents of each channel, in `channel_keys`
+    order.  Configurations are numbered in breadth-first discovery order from
+    the initial one, number 0.  `steps[n]` lists the steps of configuration n
+    as (action, channel index, next configuration number), per process in
+    declaration order and per action in its CFSM's alphabet order, and
+    `blocked[n]` says whether the bound blocked a send there.
+    """
+
     configurations: list
+    steps: list
+    blocked: list
     deadlocks: list          # (configuration, event path)
     orphans: list            # deadlocked, all locals accepting, channels non-empty
     bound_hit: bool
     channel_keys: tuple
-
-
-def _successors(system: System, bound: int):
-    """Channel keys, initial configuration and successor function of the
-    p2p semantics with per-channel capacity `bound`.
-
-    The successor function maps a configuration to its enabled steps
-    (action, channel index, next configuration), per process in its CFSM's
-    alphabet order, and to whether the channel bound blocked a send.
-    """
-    decl = system.declaration
-    keys = tuple((p, q) for p in decl.processes for q in decl.processes if p != q)
-    kidx = {k: i for i, k in enumerate(keys)}
-    init = P2pConfiguration(tuple(next(iter(c.automaton.initial)) for c in system.cfsms),
-                            tuple(() for _ in keys))
-    outgoing: dict[tuple[int, int], list] = {}  # (process index, state) -> [(action, target)]
-    for i, cfsm in enumerate(system.cfsms):
-        d = cfsm.automaton
-        for src in range(d.n_states):
-            outgoing[(i, src)] = [(act, d.delta[(src, act)]) for act in d.alphabet
-                                  if (src, act) in d.delta]
-
-    def steps(cfg: P2pConfiguration):
-        enabled = []
-        blocked_by_bound = False
-        for i, s in enumerate(cfg.locals):
-            for act, dst in outgoing.get((i, s), ()):
-                if act.is_send:
-                    ch = kidx[(act.process, act.peer)]
-                    if len(cfg.channels[ch]) >= bound:
-                        blocked_by_bound = True
-                        continue
-                    channels = list(cfg.channels)
-                    channels[ch] += (act.message,)
-                else:
-                    ch = kidx[(act.peer, act.process)]
-                    if not cfg.channels[ch] or cfg.channels[ch][0] != act.message:
-                        continue
-                    channels = list(cfg.channels)
-                    channels[ch] = channels[ch][1:]
-                locals_ = list(cfg.locals)
-                locals_[i] = dst
-                enabled.append((act, ch, P2pConfiguration(tuple(locals_), tuple(channels))))
-        return enabled, blocked_by_bound
-
-    return keys, init, steps
+    processes: tuple         # in declaration order
 
 
 def p2p_explore(system: System, bound: int) -> P2pReport:
-    """BFS over p2p configurations with per-channel capacity `bound`."""
+    """The p2p configuration graph with per-channel capacity `bound`, in one
+    breadth-first search.
+
+    A configuration with no step that is not final (every local accepting,
+    every channel empty) is a deadlock; its path is the breadth-first one,
+    through the step that first reached each configuration on it.  An
+    orphan is a deadlock whose locals all accept.
+    """
     if bound < 1:
         raise ValueError("channel bound must be >= 1")
-    keys, init, steps = _successors(system, bound)
-    parent: dict[P2pConfiguration, tuple[P2pConfiguration, LocalAction] | None] = {init: None}
-    queue = deque([init])
-    bound_hit = False
-    deadlocks, orphans = [], []
-    while queue:
-        cfg = queue.popleft()
-        enabled, blocked_by_bound = steps(cfg)
-        bound_hit = bound_hit or blocked_by_bound
-        all_accepting = all(cfg.locals[i] in c.automaton.accepting
-                            for i, c in enumerate(system.cfsms))
-        empty_channels = all(not ch for ch in cfg.channels)
-        if not enabled and not (all_accepting and empty_channels):
-            path = []
-            node = cfg
-            while parent[node] is not None:
-                node, act = parent[node]
-                path.append(act)
-            path.reverse()
-            deadlocks.append((cfg, tuple(path)))
-            if all_accepting and not empty_channels:
-                orphans.append((cfg, tuple(path)))
-        for act, _, nxt in enabled:
-            if nxt not in parent:
-                parent[nxt] = (cfg, act)
-                queue.append(nxt)
-    return P2pReport(list(parent), deadlocks, orphans, bound_hit, keys)
+    procs = system.declaration.processes
+    n_procs = len(procs)
+    keys = tuple((p, q) for p in procs for q in procs if p != q)
+    kidx = {k: i for i, k in enumerate(keys)}
+    moves = []  # per process, per local state: its (action, channel index, target) moves
+    for d in (c.automaton for c in system.cfsms):
+        moves.append([[(act, kidx[(act.process, act.peer) if act.is_send
+                                  else (act.peer, act.process)], d.delta[(src, act)])
+                       for act in d.alphabet if (src, act) in d.delta]
+                      for src in range(d.n_states)])
+    accepting = [c.automaton.accepting for c in system.cfsms]
+    init = tuple(next(iter(c.automaton.initial)) for c in system.cfsms) + ((),) * len(keys)
+    configs, index = [init], {init: 0}
+    parent = [None]  # per configuration: (number, action) of the step that first reached it
+    steps, blocked, deadlocks, orphans = [], [], [], []
+    for n, cfg in enumerate(configs):  # `configs` grows behind the scan: a FIFO queue
+        enabled, stopped = [], False
+        for i, s in enumerate(cfg[:n_procs]):
+            for act, ch, dst in moves[i][s]:
+                content = cfg[n_procs + ch]
+                if act.is_send:
+                    if len(content) >= bound:
+                        stopped = True
+                        continue
+                    content += (act.message,)
+                elif content and content[0] == act.message:
+                    content = content[1:]
+                else:
+                    continue
+                succ = list(cfg)
+                succ[i], succ[n_procs + ch] = dst, content
+                nxt = tuple(succ)
+                j = index.setdefault(nxt, len(configs))
+                if j == len(configs):
+                    configs.append(nxt)
+                    parent.append((n, act))
+                enabled.append((act, ch, j))
+        steps.append(enabled)
+        blocked.append(stopped)
+        if enabled:
+            continue
+        all_accepting = all(s in acc for s, acc in zip(cfg, accepting))
+        if all_accepting and not any(cfg[n_procs:]):
+            continue  # final
+        path, k = [], n
+        while parent[k] is not None:
+            k, act = parent[k]
+            path.append(act)
+        deadlocks.append((cfg, tuple(reversed(path))))
+        if all_accepting:
+            orphans.append(deadlocks[-1])
+    return P2pReport(configs, steps, blocked, deadlocks, orphans, any(blocked), keys, procs)
 
 
-def p2p_mscs(system: System, bound: int, max_events: int = 8):
-    """MSCs of all explored p2p executions with at most `max_events` events.
+def p2p_mscs(report: P2pReport, max_events: int = 8):
+    """MSCs of all p2p executions in `report`'s graph with at most
+    `max_events` events.
 
     Returns (the explored P2pMscs in discovery order, bound_hit, the non-RSC
     ones among them in the same order).  The search is depth-first over an
-    explicit stack (its depth grows with `max_events`) and memoised on the
-    MSC: two interleavings of the same behaviour are explored once.  The
-    MSC fixes the configuration, since every CFSM is deterministic.  The
-    steps of each configuration are computed once per call.  No execution
-    is built: a caller that wants one takes a linearisation of the MSC.
+    explicit stack (its depth grows with `max_events`) and walks the graph
+    by configuration number; it computes no step itself.  It is memoised on
+    the per-process label sequences: two interleavings of the same
+    behaviour are explored once.  The labels fix the MSC, since FIFO
+    channels match the k-th receive on a channel with its k-th send, and
+    they fix the configuration, since every CFSM is deterministic.  A
+    `P2pMsc` is built only for a new MSC, and no execution is built: a
+    caller that wants one takes a linearisation of the MSC.
 
     An MSC is RSC (each receive can be scheduled right after its send)
     exactly when the order between its blocks (a send with its receive, or
@@ -325,42 +324,37 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
     reached positions are upward closed).  Every extension of a non-RSC
     MSC is non-RSC and needs no bookkeeping.
     """
-    if bound < 1:
-        raise ValueError("channel bound must be >= 1")
     if max_events < 0:
         raise ValueError("event budget must be >= 0")
-    keys, init, steps = _successors(system, bound)
-    procs = sorted(system.declaration.processes)  # P2pMsc lists processes by name
+    procs = sorted(report.processes)  # P2pMsc lists processes by name
     pidx = {p: i for i, p in enumerate(procs)}
     unreached = (max_events,) * len(procs)  # past every position of every process
-    mscs, non_rsc = {}, []  # mscs: the explored MSCs, as an ordered set
+    seen, mscs, non_rsc = set(), [], []
     bound_hit = False
-    steps_of = {}  # configuration -> steps(configuration)
 
     # Each node extends its parent's MSC by one event: `labels` holds the
     # per-process label tuples (in `procs` order), `matching` the matched
     # (send node, receive node) pairs, and `pending`, per channel, the
     # (node, reach) of each send in transit.  `depth` counts the events and
     # `rsc` says whether the MSC is RSC.
-    stack = [(init, tuple(() for _ in keys), tuple(() for _ in procs), frozenset(), 0, True)]
+    stack = [(0, ((),) * len(report.channel_keys), ((),) * len(procs), frozenset(), 0, True)]
     while stack:
         cfg, pending, labels, matching, depth, rsc = stack.pop()
-        m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
         # the continuation depends only on the MSC, not on which
         # interleaving produced it
-        if m in mscs:
+        if labels in seen:
             continue
-        mscs[m] = None
+        seen.add(labels)
+        m = P2pMsc(tuple((p, evs) for p, evs in zip(procs, labels) if evs), matching)
+        mscs.append(m)
         if not rsc:
             non_rsc.append(m)
-        if cfg not in steps_of:
-            steps_of[cfg] = steps(cfg)
-        enabled, blocked_by_bound = steps_of[cfg]
+        enabled = report.steps[cfg]
         if depth >= max_events:
             if enabled:
                 bound_hit = True  # truncated by the event budget, not exhausted
             continue
-        bound_hit = bound_hit or blocked_by_bound
+        bound_hit = bound_hit or report.blocked[cfg]
         children = []
         for act, ch, nxt in enabled:
             k = pidx[act.process]
@@ -393,4 +387,4 @@ def p2p_mscs(system: System, bound: int, max_events: int = 8):
             children.append((nxt, tuple(new_pending), tuple(new_labels), new_matching,
                              depth + 1, new_rsc))
         stack.extend(reversed(children))  # the first step is explored first
-    return list(mscs), bound_hit, non_rsc
+    return mscs, bound_hit, non_rsc

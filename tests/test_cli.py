@@ -416,8 +416,10 @@ def test_realisable_complement_of_other_declaration_is_usage_error(capsys):
 
 
 def test_cli_import_loads_no_third_party_module():
+    # nor the oracle, which only the two `oracle` commands import
     code = ("import sys; before = set(sys.modules); import chorcheck.cli; "
             "new = {n.partition('.')[0] for n in set(sys.modules) - before}; "
+            "assert 'chorcheck.oracle' not in sys.modules; "
             "print(sorted(new - set(sys.stdlib_module_names) - {'chorcheck'}))")
     src = str(Path(chorcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

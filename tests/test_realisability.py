@@ -14,7 +14,7 @@ from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
 from chorcheck.realisability import (Status, check_p2p_realisable,
                                      check_sync_realisable)
-from chorcheck.semantics import Execution, msc_of_execution, p2p_mscs
+from chorcheck.semantics import Execution, msc_of_execution, p2p_explore, p2p_mscs
 from chorcheck.trace import msc_of
 
 from conftest import FIXTURE_DIR, lower_inclusion
@@ -100,8 +100,8 @@ def test_membership_in_explored_mscs_matches_prefix_search():
         det, bound = seed % 2 == 0, 1 + seed % 4 // 2
         g = random_global_type(rng, decl, 3, deterministic=det)
         h = random_global_type(rng, decl, 3, deterministic=det)
-        mscs_g, _, _ = p2p_mscs(project(g), bound, 5)
-        mscs_h, _, _ = p2p_mscs(project(h), bound, 5)
+        mscs_g, _, _ = p2p_mscs(p2p_explore(project(g), bound), 5)
+        mscs_h, _, _ = p2p_mscs(p2p_explore(project(h), bound), 5)
         prefixes_g = set().union(*map(msc_prefixes, mscs_g))
         explored_g = set(mscs_g)
         for m in mscs_h:
@@ -127,8 +127,8 @@ def test_completion_mscs_are_explored_mscs_of_g():
         completion = g.with_automaton(automata.prefix_closure(g.automaton))
         trimmed += completion.automaton.n_states < g.automaton.n_states
         bound, budget = 1 + seed % 3, 5 + seed % 2
-        mscs_g, hit_g, _ = p2p_mscs(project(g), bound, budget)
-        mscs_c, hit_c, _ = p2p_mscs(project(completion), bound, budget)
+        mscs_g, hit_g, _ = p2p_mscs(p2p_explore(project(g), bound), budget)
+        mscs_c, hit_c, _ = p2p_mscs(p2p_explore(project(completion), bound), budget)
         assert set(mscs_c) <= set(mscs_g), seed
         assert hit_g or not hit_c, seed
     assert trimmed

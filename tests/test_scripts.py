@@ -10,6 +10,7 @@ from conftest import REPO
 
 AUDIT = str(REPO / "scripts" / "complement_audit.py")
 DIGEST = REPO / "scripts" / "corpus_digest.py"
+MUTANTS = REPO / "scripts" / "mutants.py"
 
 
 def src_env(**extra):
@@ -23,11 +24,15 @@ def run_audit(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_digest_script():
-    spec = importlib.util.spec_from_file_location("corpus_digest", DIGEST)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    return digest
+    return load_script(DIGEST)
 
 
 def test_complement_audit_bounds():
@@ -96,3 +101,13 @@ with tempfile.TemporaryDirectory() as tmp:
     assert len(lines) == 11
     for digest, label in lines:
         assert digest == expected[label], label
+
+
+def test_mutant_texts_occur_once():
+    # a refactor that moves a mutant's text must update the mutant list; the
+    # script refuses (exit 2) to run a list with a stale entry
+    mutants = load_script(MUTANTS)
+    assert mutants.stale() == []
+    for m in mutants.MUTANTS:
+        assert (REPO / m.file).read_text().count(m.old) == 1, m.reason
+        assert m.new != m.old, m.reason

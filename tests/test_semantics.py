@@ -8,7 +8,8 @@ from chorcheck.automata import EPS, Nfa
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
                               is_p2p_execution_by_sequence, is_rsc_schedulable,
-                              linearisations_p2p, p2p_mscs_by_enumeration)
+                              linearisations_p2p, p2p_mscs_by_enumeration,
+                              p2p_steps)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type,
                                  random_three_process_deterministic)
@@ -168,7 +169,7 @@ def test_rsc_schedulable_brute_force(fixture_suite):
     # RSC means some linearisation puts each receive right after its send
     answers = set()
     for g in [*fixture_suite.values(), *_seeded_types()]:
-        mscs, _, _ = p2p_mscs(project(g), 2, 6)
+        mscs, _, _ = p2p_mscs(p2p_explore(project(g), 2), 6)
         for m in mscs:
             ok, schedule = is_rsc_schedulable(m)
             expected = any(all(ev.is_send or ev.match == k - 1
@@ -196,20 +197,84 @@ def test_p2p_explore_deadlock(deadlock):
     assert path  # witness path leads somewhere
 
 
+def _first_step_paths(init, steps):
+    """Every configuration the oracle's `steps` reach from `init`, mapped to
+    its breadth-first path through the step that first reached each
+    configuration on it, and whether the bound blocked a send anywhere."""
+    paths, blocked_any = {init: ()}, False
+    order = [init]
+    for cfg in order:
+        enabled, blocked = steps(cfg)
+        blocked_any = blocked_any or blocked
+        for act, nxt in enabled:
+            if nxt not in paths:
+                paths[nxt] = paths[cfg] + (act,)
+                order.append(nxt)
+    return paths, blocked_any
+
+
+def test_p2p_explore_graph_matches_oracle_steps(fixture_suite):
+    # the configuration graph, its bound flag and its stuck configurations
+    # against a breadth-first search over the oracle's own step function
+    types = list(fixture_suite.values())
+    for seed in range(30):
+        rng = random.Random(seed)
+        types.append(random_commutation_deterministic(rng, max_states=4, max_arrows=3)
+                     if seed % 2 else random_three_process_deterministic(rng))
+    seen = set()
+    for g in types:
+        system = project(g)
+        accepting = [c.automaton.accepting for c in system.cfsms]
+        for bound in (1, 2, 3):
+            report = p2p_explore(system, bound)
+            init, steps = p2p_steps(system, bound)
+            paths, blocked_any = _first_step_paths(init, steps)
+            # the report's configurations are flat: the locals, then the channels
+            oracle_cfg = {states + contents: (states, contents) for states, contents in paths}
+            assert report.configurations[0] == init[0] + init[1]
+            assert set(report.configurations) == set(oracle_cfg), (g.name, bound)
+            assert report.bound_hit == blocked_any, (g.name, bound)
+            for n, cfg in enumerate(report.configurations):
+                enabled, blocked = steps(oracle_cfg[cfg])
+                assert [(a, oracle_cfg[report.configurations[j]])
+                        for a, _, j in report.steps[n]] == enabled
+                assert all(report.channel_keys[ch] == ((a.process, a.peer) if a.is_send
+                                                       else (a.peer, a.process))
+                           for a, ch, _ in report.steps[n])
+                assert report.blocked[n] == blocked
+            stuck = []
+            for states, contents in paths:
+                all_accepting = all(s in acc for s, acc in zip(states, accepting))
+                if not steps((states, contents))[0] and not (all_accepting and not any(contents)):
+                    stuck.append((states, contents, all_accepting))
+            assert [cfg for cfg, _ in report.deadlocks] == [s + c for s, c, _ in stuck]
+            for cfg, path in report.deadlocks:
+                at = init
+                for act in path:  # replay: a CFSM's action fixes its step
+                    at = next(nxt for a, nxt in steps(at)[0] if a == act)
+                assert at == oracle_cfg[cfg]
+                # the breadth-first path, as short as the configuration's
+                # distance and through the step that first reached each node
+                assert path == paths[at], (g.name, bound)
+            assert report.orphans == [(s + c, paths[(s, c)]) for s, c, acc in stuck if acc]
+            seen.add((report.bound_hit, bool(report.deadlocks), bool(report.orphans)))
+    assert {hit for hit, _, _ in seen} == {True, False}
+    assert any(dl for _, dl, _ in seen) and any(orph for _, _, orph in seen)
+
+
 def test_p2p_explore_bound_validation(real):
-    with pytest.raises(ValueError):
-        p2p_explore(project(real), 0)
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            p2p_explore(project(real), bound)
 
 
 def test_p2p_mscs_bound_validation(real):
     with pytest.raises(ValueError):
-        p2p_mscs(project(real), 0, 8)
-    with pytest.raises(ValueError):
-        p2p_mscs(project(real), 2, -1)
+        p2p_mscs(p2p_explore(project(real), 2), -1)
 
 
 def test_p2p_mscs_cross(cross):
-    mscs, bound_hit, non_rsc = p2p_mscs(project(cross), 2, 6)
+    mscs, bound_hit, non_rsc = p2p_mscs(p2p_explore(project(cross), 2), 6)
     assert not bound_hit
     squares = [m for m in mscs if len(m) == 4]
     assert any(not is_rsc_schedulable(m)[0] for m in squares)
@@ -230,7 +295,7 @@ def test_p2p_mscs_rsc_matches_reference(fixture_suite):
         system = project(g)
         rsc = {}  # the reference's answer per MSC, shared by the three bounds
         for bound in (1, 2, 3):
-            mscs, _, non_rsc = p2p_mscs(system, bound, 6)
+            mscs, _, non_rsc = p2p_mscs(p2p_explore(system, bound), 6)
             for m in mscs:
                 if m not in rsc:
                     rsc[m] = is_rsc_schedulable(m)[0]
@@ -251,9 +316,12 @@ def test_p2p_mscs_matches_enumeration(fixture_suite):
                                deterministic=seed % 3 != 2)
         cases.append((g, rng.randint(1, 3), rng.randint(5, 6)))
     flags, explored, flagged = set(), 0, 0
+    reports = {}  # one configuration graph per (type, bound)
     for g, bound, budget in cases:
         system = project(g)
-        mscs, bound_hit, non_rsc = p2p_mscs(system, bound, budget)
+        if (id(g), bound) not in reports:
+            reports[(id(g), bound)] = p2p_explore(system, bound)
+        mscs, bound_hit, non_rsc = p2p_mscs(reports[(id(g), bound)], budget)
         expected, expected_hit, expected_non_rsc = p2p_mscs_by_enumeration(
             system, bound, budget)
         assert mscs == expected, (g.name, bound, budget)
