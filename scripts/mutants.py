@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 
 SEM = "src/chorcheck/semantics.py"
 REAL = "src/chorcheck/realisability.py"
+AUT = "src/chorcheck/automata.py"
+COMP = "src/chorcheck/complement.py"
 
 MUTANTS = (
     Mutant(SEM, "if len(content) >= bound:", "if len(content) > bound:",
@@ -85,6 +87,26 @@ MUTANTS = (
            "an arrow goes right past an equal arrow too",
            equivalent="the arrows passed all commute with a, and no arrow commutes "
                       "with itself"),
+    Mutant(AUT, "if not a.accepting.isdisjoint(closure):",
+           "if not a.accepting.isdisjoint(subset):",
+           "projection: a subset's acceptance is read off the subset, not its closure"),
+    Mutant(AUT, "moves.setdefault(y, set()).add(t)",
+           "s in subset and moves.setdefault(y, set()).add(t)",
+           "projection: a subset's moves are read off the subset, not its closure"),
+    Mutant(COMP, "if commute(x, b):", "if not commute(x, b):",
+           "renunciation goes provisory when x and b do not commute"),
+    Mutant(COMP, "if states & a.accepting:", "if states:",
+           "the existential traces of the complement check ignore acceptance"),
+    Mutant(COMP, "participant_count(g) <= 3", "participant_count(g) <= 4",
+           "complement_auto takes the dual at up to 4 participants"),
+    Mutant(COMP, 'add(("provbar", s, x), x, ("acc",))',
+           'add(("provbar", s, x), x, ("provbar", s, x))',
+           "renunciation never accepts the blocked choice"),
+    Mutant(COMP, "        if s not in final:\n            accepting.add(index[(\"g\", s)])\n",
+           "        accepting.add(index[(\"g\", s)])\n",
+           "renunciation accepts g's final states"),
+    Mutant(COMP, "if report.passed:", "if True:",
+           "complement_auto keeps a Cartesian candidate that failed its self-check"),
 )
 
 

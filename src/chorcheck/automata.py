@@ -5,9 +5,9 @@ caller uses (arrows, local actions, plain strings in tests).  The letter
 order is the position in the alphabet tuple and determines witness-word
 tie-breaking (shortest, then lexicographically least).
 
-There is one automaton type, `Nfa`.  A DFA is an `Nfa` whose `delta` is not
-None: one initial state, no epsilon, at most one successor per (state,
-letter).
+There is one automaton type, `Nfa`, and it has no ε transitions: every
+transition reads a letter of the alphabet.  A DFA is an `Nfa` whose `delta`
+is not None: one initial state, at most one successor per (state, letter).
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-
-EPS = None
 
 
 class AlphabetMismatchError(ValueError):
@@ -31,6 +29,8 @@ def _validate(alphabet, n_states, transitions, accepting, initials):
     letters = set(alphabet)
     if len(letters) != len(alphabet):
         raise AutomatonError("duplicate letters in alphabet")
+    if None in letters:
+        raise AutomatonError("None is not a letter")
     for s in initials:
         if not 0 <= s < n_states:
             raise AutomatonError(f"initial state {s} out of range")
@@ -40,7 +40,7 @@ def _validate(alphabet, n_states, transitions, accepting, initials):
     for s, x, t in transitions:
         if not (0 <= s < n_states and 0 <= t < n_states):
             raise AutomatonError(f"transition ({s},{x},{t}) out of range")
-        if x is not EPS and x not in letters:
+        if x not in letters:
             raise AutomatonError(f"transition letter {x!r} not in alphabet")
 
 
@@ -49,7 +49,7 @@ class Nfa:
     alphabet: tuple
     n_states: int
     initial: frozenset
-    transitions: frozenset  # triples (src, letter-or-EPS, dst)
+    transitions: frozenset  # triples (src, letter, dst)
     accepting: frozenset
     names: tuple | None = field(default=None, compare=False)
 
@@ -70,14 +70,10 @@ class Nfa:
         return m
 
     @cached_property
-    def epsilon_free(self) -> bool:
-        return all(x is not EPS for _, x, _ in self.transitions)
-
-    @cached_property
     def delta(self) -> dict | None:
         """(state, letter) -> successor if deterministic (one initial state,
-        no epsilon, at most one successor per pair), else None."""
-        if len(self.initial) != 1 or not self.epsilon_free:
+        at most one successor per pair), else None."""
+        if len(self.initial) != 1:
             return None
         delta = {}
         for s, x, t in self.transitions:
@@ -86,25 +82,14 @@ class Nfa:
             delta[(s, x)] = t
         return delta
 
-    def eps_closure(self, states) -> frozenset:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            s = stack.pop()
-            for t in self._step_map.get((s, EPS), ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
     def step(self, states, letter) -> frozenset:
         nxt = set()
         for s in states:
             nxt |= self._step_map.get((s, letter), set())
-        return self.eps_closure(nxt)
+        return frozenset(nxt)
 
     def accepts(self, word) -> bool:
-        states = self.eps_closure(self.initial)
+        states = self.initial
         for x in word:
             states = self.step(states, x)
             if not states:
@@ -113,24 +98,6 @@ class Nfa:
 
     def state_name(self, s: int) -> str:
         return self.names[s] if self.names else f"s{s}"
-
-
-def eps_eliminate(a: Nfa) -> Nfa:
-    """Language-preserving removal of epsilon transitions."""
-    if a.epsilon_free:
-        return a
-    transitions = set()
-    accepting = set(a.accepting)
-    for s in range(a.n_states):
-        cl = a.eps_closure({s})
-        if cl & a.accepting:
-            accepting.add(s)
-        for s2 in cl:
-            for x in a.alphabet:
-                for t in a._step_map.get((s2, x), ()):
-                    transitions.add((s, x, t))
-    return Nfa(a.alphabet, a.n_states, a.initial, frozenset(transitions),
-               frozenset(accepting), a.names)
 
 
 def _explore(starts, successors) -> tuple[list, dict, list]:
@@ -163,19 +130,44 @@ def determinise(a: Nfa) -> Nfa:
     Deterministic input takes a BFS over single states instead, which gives
     the same numbering, transitions, accepting set and names.
     """
-    a = eps_eliminate(a)
     if a.delta is not None:
         return _determinise_deterministic(a, a.delta)
-    return _subset_construction(a)
+    return image(a, a.alphabet, lambda x: x)
 
 
-def _subset_construction(a: Nfa) -> Nfa:
-    order, _, transitions = _explore([a.eps_closure(a.initial)], lambda subset: (
-        (x, nxt) for x in a.alphabet if (nxt := a.step(subset, x))))
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & a.accepting)
+def image(a: Nfa, alphabet, rename) -> Nfa:
+    """DFA for the image of L(a) under `rename`, by reachable subsets.
+
+    `rename` maps each letter of `a` to a letter of `alphabet`, or to None
+    to erase it.  A subset's closure is the set of states it reaches along
+    erased letters; the subset accepts when its closure meets a's accepting
+    states, and a kept letter moves it to where the letter leads from its
+    closure.  Subsets are named by their states' names.
+    """
+    out = [[] for _ in range(a.n_states)]  # state -> [(renamed letter, successor)]
+    for s, x, t in a.transitions:
+        out[s].append((rename(x), t))
+    accepting = set()
+
+    def successors(subset):
+        closure, stack, moves = set(subset), list(subset), {}
+        while stack:  # each state of the closure is popped once
+            s = stack.pop()
+            for y, t in out[s]:
+                if y is not None:
+                    moves.setdefault(y, set()).add(t)
+                elif t not in closure:
+                    closure.add(t)
+                    stack.append(t)
+        if not a.accepting.isdisjoint(closure):
+            accepting.add(subset)
+        return ((y, frozenset(moves[y])) for y in alphabet if y in moves)
+
+    order, _, transitions = _explore([a.initial], successors)
     names = tuple("{" + ",".join(sorted(a.state_name(s) for s in subset)) + "}"
                   for subset in order)
-    return Nfa(a.alphabet, len(order), frozenset({0}), transitions, accepting, names)
+    return Nfa(alphabet, len(order), frozenset({0}), transitions,
+               frozenset(i for i, subset in enumerate(order) if subset in accepting), names)
 
 
 def _determinise_deterministic(a: Nfa, delta: dict) -> Nfa:
@@ -220,8 +212,6 @@ def product(a: Nfa, b: Nfa) -> Nfa:
     """Synchronized product; L(product) = L(a) ∩ L(b)."""
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise AlphabetMismatchError("product requires identical alphabets")
-    a = eps_eliminate(a)
-    b = eps_eliminate(b)
 
     def successors(pair):
         s, t = pair
@@ -258,15 +248,13 @@ def _distances_to_accepting(a: Nfa) -> dict[int, int]:
 
 def is_empty(a: Nfa) -> tuple[bool, tuple | None]:
     """Emptiness with a shortest-then-lex-least witness word when non-empty."""
-    a = eps_eliminate(a)
     dist = _distances_to_accepting(a)
-    start = a.eps_closure(a.initial)
-    reachable_dists = [dist[s] for s in start if s in dist]
+    reachable_dists = [dist[s] for s in a.initial if s in dist]
     if not reachable_dists:
         return True, None
     length = min(reachable_dists)
     word = []
-    states = start
+    states = a.initial
     remaining = length
     while remaining > 0:
         for x in a.alphabet:
@@ -288,9 +276,8 @@ def includes(a: Nfa, b: Nfa) -> tuple[bool, tuple | None]:
 
 def reachable(a: Nfa) -> set[int]:
     """States reachable from the initial set along any transitions."""
-    letters = (*a.alphabet, EPS)
     order, _, _ = _explore(a.initial, lambda s: (
-        (x, t) for x in letters for t in a._step_map.get((s, x), ())))
+        (x, t) for x in a.alphabet for t in a._step_map.get((s, x), ())))
     return set(order)
 
 
@@ -307,7 +294,6 @@ def _restrict(a: Nfa, keep) -> Nfa:
 
 def trim(a: Nfa) -> Nfa:
     """Restrict to accessible and co-accessible states."""
-    a = eps_eliminate(a)
     keep = reachable(a) & set(_distances_to_accepting(a))
     if not keep:
         return Nfa(a.alphabet, 1, frozenset({0}), frozenset(), frozenset(),
@@ -325,14 +311,6 @@ def prefix_closure(a: Nfa) -> Nfa:
         return t
     return Nfa(t.alphabet, t.n_states, t.initial, t.transitions,
                frozenset(range(t.n_states)), t.names)
-
-
-def erase_letter(a: Nfa, x) -> Nfa:
-    """Homomorphic image erasing letter `x` (its transitions become epsilon)."""
-    if x not in set(a.alphabet):
-        raise AlphabetMismatchError(f"letter {x!r} not in alphabet")
-    transitions = frozenset((s, EPS if y == x else y, t) for s, y, t in a.transitions)
-    return Nfa(a.alphabet, a.n_states, a.initial, transitions, a.accepting, a.names)
 
 
 def minimise(d: Nfa) -> Nfa:
@@ -410,8 +388,7 @@ def words(a: Nfa, max_len: int):
     in alphabet order)."""
     if max_len < 0:
         raise ValueError(f"word length bound must be non-negative, got {max_len}")
-    a = eps_eliminate(a)
-    stack = [(a.eps_closure(a.initial), ())]
+    stack = [(a.initial, ())]
     while stack:
         states, prefix = stack.pop()
         if states & a.accepting:

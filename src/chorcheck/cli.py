@@ -394,6 +394,8 @@ def main(argv=None) -> int:
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
+        if payload.get("guaranteed") is False:  # an unguaranteed complement
+            print(f"warning: {payload['note']}", file=sys.stderr)
         sys.stdout.write(_render(payload, getattr(args, "output", None)))
     return code
 

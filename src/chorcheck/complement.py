@@ -228,7 +228,7 @@ def _existential_traces(g: GlobalType, max_events: int) -> set[tuple[int, ...]]:
     arrows = g.declaration.arrows
     commutes = g.declaration.commutes
     moves: dict[frozenset, list] = {}  # state set -> [(arrow index, state set)]
-    level = {(a.eps_closure(a.initial), ())}
+    level = {(a.initial, ())}
     found = set()
     for depth in range(max_events + 1):
         nxt = set()

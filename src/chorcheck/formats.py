@@ -385,8 +385,7 @@ def _dot_automaton(out: list, prefix: str, a: Nfa):
     for s in a.initial:
         out.append(f"  {prefix}init -> {prefix}{s};")
     for s, x, t in sorted(a.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
-        label = "ε" if x is None else str(x)
-        out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(label)}"];')
+        out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(str(x))}"];')
 
 
 def render_dot(obj) -> str:

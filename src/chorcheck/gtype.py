@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import automata
-from .automata import EPS, Nfa, determinise
+from .automata import Nfa, determinise
 from .semantics import Cfsm, System, local_alphabet, recv_action, send_action
 from .trace import (Arrow, Declaration, DeclarationError, Msc, commute,
                     next_arrow, next_msc)
@@ -51,8 +51,7 @@ def choices(g: GlobalType, s: int) -> frozenset[Arrow]:
     """Arrows labelling outgoing transitions of state `s`."""
     if not 0 <= s < g.automaton.n_states:
         raise ValueError(f"unknown state {s}")
-    return frozenset(x for src, x, _ in g.automaton.transitions
-                     if src == s and x is not EPS)
+    return frozenset(x for src, x, _ in g.automaton.transitions if src == s)
 
 
 def is_deterministic(g: GlobalType) -> bool:
@@ -63,8 +62,7 @@ def _choices_per_state(g: GlobalType) -> list[set[Arrow]]:
     """`choices(g, s)` for every state s, from one pass over the transitions."""
     out = [set() for _ in range(g.automaton.n_states)]
     for src, x, _ in g.automaton.transitions:
-        if x is not EPS:
-            out[src].add(x)
+        out[src].add(x)
     return out
 
 
@@ -133,25 +131,18 @@ def classify(g: GlobalType) -> Classification:
 
 
 def project(g: GlobalType) -> System:
-    """Homomorphic erasure per process, then epsilon elimination and
-    determinisation."""
+    """One CFSM per process: the determinised image of g's automaton that
+    maps each arrow to the process's action and erases the arrows it is not
+    in.  Local states are named by g's state indices (`{s0,s2}`)."""
     decl = g.declaration
+    a = g.automaton
+    unnamed = Nfa(a.alphabet, a.n_states, a.initial, a.transitions, a.accepting)
     cfsms = []
     for p in decl.processes:
-        alphabet = local_alphabet(decl, p)
-        transitions = set()
-        for s, arrow, t in g.automaton.transitions:
-            if arrow is EPS:
-                transitions.add((s, EPS, t))
-            elif arrow.sender == p:
-                transitions.add((s, send_action(p, arrow.receiver, arrow.message), t))
-            elif arrow.receiver == p:
-                transitions.add((s, recv_action(p, arrow.sender, arrow.message), t))
-            else:
-                transitions.add((s, EPS, t))
-        local = Nfa(alphabet, g.automaton.n_states, g.automaton.initial,
-                    frozenset(transitions), g.automaton.accepting)
-        cfsms.append(Cfsm(p, determinise(local)))
+        action = {x: send_action(p, x.receiver, x.message) if x.sender == p
+                  else recv_action(p, x.sender, x.message)
+                  for x in decl.arrows if p in (x.sender, x.receiver)}
+        cfsms.append(Cfsm(p, automata.image(unnamed, local_alphabet(decl, p), action.get)))
     return System(decl, tuple(cfsms))
 
 
@@ -231,7 +222,7 @@ def _reached(g: GlobalType, m: Msc) -> set[frozenset]:
         sends[(p, done[p])] = (x, q, done[q])
         done[p] += 1
         done[q] += 1
-    layer = {(0,) * len(done): {a.eps_closure(a.initial)}}
+    layer = {(0,) * len(done): {a.initial}}
     for _ in m.word:
         nxt: dict[tuple, set] = {}
         for vec, sets in layer.items():

@@ -3,9 +3,10 @@
 Everything here enumerates: canonical traces over a small arrow alphabet,
 bounded existential MSC languages, the xor complement law, the
 count-profile characterisation used by the non-complementability fixture,
-the p2p step relation, the bounded p2p executions with their MSCs, and the
-linearisations and FIFO and RSC checks of p2p MSCs.  These are the oracles
-the cleverer constructions are tested against; no verdict uses them.
+projection membership, the p2p step relation, the bounded p2p executions
+with their MSCs, and the linearisations and FIFO and RSC checks of p2p
+MSCs.  These are the oracles the cleverer constructions are tested
+against; no verdict uses them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .automata import Nfa, eps_eliminate, words
+from .automata import Nfa, words
 from .realisability import Status, check_p2p_realisable
 from .semantics import (Event, Execution, P2pMsc, System, msc_of_execution,
-                        p2p_explore, p2p_mscs)
+                        p2p_explore, p2p_mscs, recv_action, send_action)
 from .trace import (DEFAULT_MAX_ARROWS, DEFAULT_MAX_EVENTS, DEFAULT_MEMORY_GUARD,
                     Declaration, Msc, SizeLimitError, is_normal_form, msc_of)
 
@@ -101,10 +102,9 @@ def count_profile_check(language: Nfa, declaration: Declaration, predicate,
     if len(arrows) != 3 or set(arrows) != set(declaration.arrows):
         raise ValueError("count-profile checks need exactly three declared arrows")
     a1, a2, a3 = arrows
-    nfa = eps_eliminate(language)
     checked = profiled = 0
     violations = []
-    for w in words(nfa, max_len):
+    for w in words(language, max_len):
         checked += 1
         if checked > DEFAULT_MEMORY_GUARD:
             raise SizeLimitError(
@@ -126,13 +126,12 @@ def swap_closure_oracle(g, max_len: int):
     """
     from .trace import commute
 
-    nfa = eps_eliminate(g.automaton)
-    for w in words(nfa, max_len):
+    for w in words(g.automaton, max_len):
         for i in range(len(w) - 1):
             a, b = w[i], w[i + 1]
             if commute(a, b):
                 swapped = w[:i] + (b, a) + w[i + 2:]
-                if not nfa.accepts(swapped):
+                if not g.automaton.accepts(swapped):
                     return False, (w, swapped)
     return True, None
 
@@ -158,6 +157,36 @@ def member_universal_oracle(g, m: Msc, limit: int = 10) -> bool:
     from .trace import linearisations
 
     return all(g.automaton.accepts(w) for w in linearisations(m, limit))
+
+
+def in_projection(g, p: str, word) -> bool:
+    """Is the local word `word` of process `p` the projection of a word of L(g)?
+
+    A search over (state of g, position in `word`) pairs: an arrow without
+    p moves the state only, an arrow with p must read the next action.
+    """
+    a = g.automaton
+    todo = [(s, 0) for s in a.initial]
+    seen = set(todo)
+    while todo:
+        s, i = todo.pop()
+        if i == len(word) and s in a.accepting:
+            return True
+        for src, x, t in a.transitions:
+            if src != s:
+                continue
+            if p not in (x.sender, x.receiver):
+                nxt = (t, i)
+            elif i < len(word) and word[i] == (
+                    send_action(p, x.receiver, x.message) if x.sender == p
+                    else recv_action(p, x.sender, x.message)):
+                nxt = (t, i + 1)
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ def check_sync_realisable(g: GlobalType, gbar: GlobalType) -> SynchVerdict:
 
 
 def _all_coaccessible(nfa) -> tuple[bool, str | None]:
-    # a rendezvous product has no ε transition and all its states are
-    # reachable: the stuck states are those that reach no accepting state
+    # all states of a rendezvous product are reachable: the stuck states
+    # are those that reach no accepting state
     coacc = automata._distances_to_accepting(nfa)
     stuck = [s for s in range(nfa.n_states) if s not in coacc]
     return (False, nfa.state_name(stuck[0])) if stuck else (True, None)

@@ -23,6 +23,18 @@ GSD_ARROWS = (Arrow("p", "q", "m1"), Arrow("p", "q'", "m2"),
               Arrow("p", "q'", "m2'"), Arrow("r", "q'", "m3"),
               Arrow("q", "q'", "m4"))
 
+# Three sends on one channel: at channel bound 1 or 2 the last send finds
+# the channel full well within an event budget of 8.
+THREE_SENDS = """gtype three {
+  processes: p, q;
+  messages: a;
+  states: s0*, s1, s2, s3+;
+  s0 -- p->q:a --> s1;
+  s1 -- p->q:a --> s2;
+  s2 -- p->q:a --> s3;
+}
+"""
+
 
 def load_fixture(name: str):
     return parse_gt((FIXTURE_DIR / f"{name}.gt").read_text())

@@ -1,16 +1,14 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorcheck.automata import (EPS, AlphabetMismatchError, AutomatonError,
-                                Nfa, _subset_construction, access_word,
-                                all_accepting, complete, determinise,
-                                distinguishing_word, dual, eps_eliminate,
-                                erase_letter, includes, is_empty, minimise,
-                                prefix_closure, product, reachable, trim, words)
+from chorcheck.automata import (AlphabetMismatchError, AutomatonError, Nfa,
+                                access_word, all_accepting, complete,
+                                determinise, distinguishing_word, dual, image,
+                                includes, is_empty, minimise, prefix_closure,
+                                product, reachable, trim, words)
 
 AB = ("a", "b")
 
@@ -35,27 +33,24 @@ def test_validation():
         Nfa(AB, 1, frozenset({0}), frozenset({(0, "c", 0)}), frozenset())
 
 
+def test_none_is_not_a_letter():
+    # no construction reads ε any more, so None is refused as a letter,
+    # both on a transition and in the alphabet
+    with pytest.raises(AutomatonError, match="not in alphabet"):
+        Nfa(AB, 2, frozenset({0}), frozenset({(0, None, 1)}), frozenset({1}))
+    with pytest.raises(AutomatonError, match="None is not a letter"):
+        Nfa(AB + (None,), 2, frozenset({0}), frozenset({(0, None, 1)}), frozenset({1}))
+
+
 def test_dfa_operations_refuse_a_nondeterministic_automaton():
     dfa_operations = (complete, dual, minimise, lambda d: access_word(d, 0),
                       lambda d: distinguishing_word(d, 0, 1))
     for a in (nfa({(0, "a", 0), (0, "a", 1)}, set()),     # two successors on a
-              nfa({(0, EPS, 1)}, set()),                  # an epsilon transition
               nfa(set(), set(), n=2, initial=(0, 1))):    # two initial states
         assert a.delta is None
         for operation in dfa_operations:
             with pytest.raises(AutomatonError, match="not deterministic"):
                 operation(a)
-
-
-def test_accepts_and_eps():
-    # a* b via an epsilon split
-    a = nfa({(0, "a", 0), (0, EPS, 1), (1, "b", 2)}, {2})
-    assert a.accepts(("b",))
-    assert a.accepts(("a", "a", "b"))
-    assert not a.accepts(("a",))
-    e = eps_eliminate(a)
-    assert e.epsilon_free
-    assert lang(e) == lang(a)
 
 
 def test_determinise_preserves_language():
@@ -121,14 +116,6 @@ def test_trim_and_prefix_closure():
     assert lang(prefix_closure(empty)) == set()
 
 
-def test_erase_letter():
-    a = nfa({(0, "a", 1), (1, "b", 2), (2, "a", 3)}, {3})
-    e = erase_letter(a, "b")
-    assert lang(e) == {("a", "a")}
-    with pytest.raises(AlphabetMismatchError):
-        erase_letter(a, "c")
-
-
 def test_minimise():
     # two equivalent accepting states collapse
     d = Nfa(AB, 3, frozenset({0}), frozenset({(0, "a", 1), (0, "b", 2),
@@ -152,13 +139,13 @@ def test_determinise_fast_path_matches_subset_construction():
             if rng.random() < 0.5 else None
         a = Nfa(alphabet, n, frozenset({rng.randrange(n)}), frozenset(transitions),
                 frozenset(s for s in range(n) if rng.random() < 0.4), names)
-        fast, subset = determinise(a), _subset_construction(a)
+        fast, subset = determinise(a), image(a, alphabet, lambda x: x)
         assert fast == subset
         assert fast.names == subset.names
 
 
 def test_reachable():
-    a = nfa({(0, "a", 1), (1, EPS, 2), (3, "b", 0)}, {2}, n=5)
+    a = nfa({(0, "a", 1), (1, "b", 2), (3, "b", 0)}, {2}, n=5)
     assert reachable(a) == {0, 1, 2}
 
 
@@ -195,27 +182,6 @@ random_nfas = st.builds(
     st.lists(st.tuples(st.integers(0, 3), letters, st.integers(0, 3)), max_size=12),
     st.lists(st.integers(0, 3), max_size=4),
 )
-
-
-random_eps_nfas = st.builds(
-    lambda trs, acc, init: nfa(set(trs), set(acc), n=4, initial=set(init) or {0}),
-    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(AB + (EPS,)),
-                       st.integers(0, 3)), max_size=12),
-    st.lists(st.integers(0, 3), max_size=4),
-    st.lists(st.integers(0, 3), max_size=2),
-)
-
-
-@given(random_eps_nfas)
-@settings(max_examples=60, deadline=None)
-def test_eps_eliminate_random(a):
-    # `Nfa.accepts` follows epsilon closures itself; `words` would call
-    # eps_eliminate
-    e = eps_eliminate(a)
-    assert e.epsilon_free
-    for n in range(5):
-        for w in itertools.product(AB, repeat=n):
-            assert e.accepts(w) == a.accepts(w), w
 
 
 @given(random_nfas)

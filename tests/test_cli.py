@@ -13,7 +13,8 @@ import chorcheck
 from chorcheck import oracle
 from chorcheck.cli import build_parser, main
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture, load_schema
+from conftest import (FIXTURE_DIR, FIXTURE_NAMES, THREE_SENDS, load_fixture,
+                      load_schema)
 
 G0 = str(FIXTURE_DIR / "g0.gt")
 GSD = str(FIXTURE_DIR / "g_sd.gt")
@@ -66,6 +67,24 @@ def test_complement_auto_branch_fails(capsys):
     code = main(["complement", BRANCH])
     capsys.readouterr()
     assert code == 1
+
+
+def test_text_complement_warns_when_not_guaranteed(capsys, tmp_path):
+    # an under-approximation is flagged by one stderr line, with and without
+    # -o; stdout, the JSON payload and a true complement's run are unchanged
+    assert main(["complement", "--method", "cartesian", NONREAL]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("gtype cartesian_complement_nonreal {")
+    assert err == ("warning: under-approximation; exact when the type is "
+                   "deadlock-free realisable in the synchronous model\n")
+    assert main(["complement", "--method", "cartesian", NONREAL,
+                 "-o", str(tmp_path / "bar.gt")]) == 0
+    assert capsys.readouterr() == ("", err)
+    assert main(["complement", "--method", "cartesian", NONREAL, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["complement", "--method", "dual", G0]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("gtype ") and err == ""
 
 
 def test_verify_complement_violations(capsys):
@@ -147,17 +166,6 @@ def test_realisable_p2p_unknown_is_flagged(capsys, tmp_path):
     assert "\nverdict: unknown\n" in out
     assert ("\nnote: semi-decision: conditions 1-3 checked up to the channel bound "
             "and event budget only\n") in out
-
-
-THREE_SENDS = """gtype three {
-  processes: p, q;
-  messages: a;
-  states: s0*, s1, s2, s3+;
-  s0 -- p->q:a --> s1;
-  s1 -- p->q:a --> s2;
-  s2 -- p->q:a --> s3;
-}
-"""
 
 
 def test_channel_bound_cut_is_unknown(capsys, tmp_path):

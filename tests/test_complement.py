@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chorcheck.automata import EPS, Nfa
+from chorcheck.automata import Nfa
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian, complement_dual,
                                   complement_renunciation,
@@ -139,23 +139,15 @@ def _reversed_declaration(g):
                                 a.accepting), g.name)
 
 
-def _with_epsilon(g, rng):
-    a = g.automaton
-    eps = {(rng.randrange(a.n_states), EPS, rng.randrange(a.n_states)) for _ in range(2)}
-    return g.with_automaton(Nfa(a.alphabet, a.n_states, a.initial, a.transitions | eps,
-                                a.accepting))
-
-
 def test_verify_complement_matches_xor_check():
     # complement-law types (commutation-deterministic and 3-process
-    # deterministic) and a nondeterministic type with epsilon moves, each in
-    # both declaration orders, against its complement, its Cartesian
-    # candidate and itself
+    # deterministic) and a nondeterministic type, each in both declaration
+    # orders, against its complement, its Cartesian candidate and itself
     rng = random.Random(23)
     types = [random_commutation_deterministic(rng, max_states=4, max_arrows=4),
              random_three_process_deterministic(rng)]
     decl = random_declaration(rng, 4, 2, 3)
-    types.append(_with_epsilon(random_global_type(rng, decl, 3, deterministic=False), rng))
+    types.append(random_global_type(rng, decl, 3, deterministic=False))
     kinds = set()
     for g in types + [_reversed_declaration(g) for g in types]:
         candidates = [g, complement_cartesian(g).gtype]

@@ -13,8 +13,8 @@ from chorcheck.gtype import (ClassificationError, DeclarationMismatchError,
                              member_existential_via_next, member_universal,
                              participant_count, project, sync_product)
 from chorcheck.oracle import (bounded_existential, enumerate_canonical,
-                              member_existential_oracle, member_universal_oracle,
-                              swap_closure_oracle)
+                              in_projection, member_existential_oracle,
+                              member_universal_oracle, swap_closure_oracle)
 from chorcheck.randomgen import (random_commutation_deterministic,
                                  random_declaration, random_global_type)
 from chorcheck.trace import Arrow, Declaration, DeclarationError, commute, msc_of
@@ -154,6 +154,27 @@ def test_projection_real_chain(real):
     system = project(real)
     p = system.cfsm("p").automaton
     assert p.n_states == 2 and len(p.transitions) == 1
+
+
+def test_projection_agrees_with_oracle(fixture_suite):
+    # every local word up to length 3 of every process: the CFSM accepts it
+    # exactly when some word of L(g) projects onto it
+    types = list(fixture_suite.values())
+    for seed in range(20):
+        rng = random.Random(seed)
+        decl = random_declaration(rng, rng.randint(3, 4), 2, rng.randint(3, 4))
+        types.append(random_global_type(rng, decl, rng.randint(2, 4),
+                                        deterministic=seed % 2 == 0))
+    verdicts = []
+    for g in types:
+        for cfsm in project(g).cfsms:
+            a = cfsm.automaton
+            for n in range(4):
+                for word in itertools.product(a.alphabet, repeat=n):
+                    verdicts.append(a.accepts(word))
+                    assert verdicts[-1] == in_projection(g, cfsm.process, word), (
+                        g.name, cfsm.process, word)
+    assert True in verdicts and False in verdicts
 
 
 def test_sync_product_counts(real, deadlock):

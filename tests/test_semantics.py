@@ -4,7 +4,8 @@ import random
 import pytest
 
 from chorcheck import oracle
-from chorcheck.automata import EPS, Nfa
+from chorcheck.automata import Nfa
+from chorcheck.formats import parse_gt
 from chorcheck.gtype import project
 from chorcheck.oracle import (check_causal_closure, is_p2p_execution,
                               is_p2p_execution_by_sequence, is_rsc_schedulable,
@@ -16,6 +17,8 @@ from chorcheck.randomgen import (random_commutation_deterministic,
 from chorcheck.semantics import (Cfsm, Event, Execution, ExecutionError,
                                  local_alphabet, msc_of_execution, p2p_explore,
                                  p2p_mscs, recv_action, send_action)
+
+from conftest import THREE_SENDS
 
 
 def s(p, q, m):
@@ -40,8 +43,7 @@ def test_cfsm_requires_a_deterministic_automaton():
     send = send_action("p", "q", "m")
     Cfsm("p", Nfa((send,), 2, {0}, {(0, send, 1)}, {1}))
     for initial, transitions in (({0}, {(0, send, 0), (0, send, 1)}),
-                                 ({0, 1}, {(0, send, 1)}),
-                                 ({0}, {(0, EPS, 1)})):
+                                 ({0, 1}, {(0, send, 1)})):
         with pytest.raises(ValueError, match="not deterministic"):
             Cfsm("p", Nfa((send,), 2, initial, transitions, {1}))
 
@@ -309,6 +311,8 @@ def test_p2p_mscs_matches_enumeration(fixture_suite):
     # from scratch: same MSCs in the same discovery order, same bound flag
     cases = [(g, bound, budget) for g in fixture_suite.values()
              for bound in (1, 2, 3) for budget in (5, 6)]
+    three = parse_gt(THREE_SENDS)  # only the channel bound cuts its search
+    cases += [(three, bound, 8) for bound in (1, 2)]
     for seed in range(30):
         rng = random.Random(seed)
         decl = random_declaration(rng, rng.randint(3, 4), 2, rng.randint(2, 4))
