@@ -45,6 +45,7 @@ SEM = "src/chorcheck/semantics.py"
 REAL = "src/chorcheck/realisability.py"
 AUT = "src/chorcheck/automata.py"
 COMP = "src/chorcheck/complement.py"
+FMT = "src/chorcheck/formats.py"
 
 MUTANTS = (
     Mutant(SEM, "if len(content) >= bound:", "if len(content) > bound:",
@@ -107,6 +108,12 @@ MUTANTS = (
            "renunciation accepts g's final states"),
     Mutant(COMP, "if report.passed:", "if True:",
            "complement_auto keeps a Cartesian candidate that failed its self-check"),
+    Mutant(FMT, 'if "*" in e[2]) or frozenset({0})', 'if False) or frozenset({0})',
+           "the reader ignores the `*` initial flag"),
+    Mutant(FMT, "if declared is not None and arrow not in declared:", "if False:",
+           "the reader lets a transition use an arrow missing from `arrows:`"),
+    Mutant(FMT, "if not _END.match(text, close.end()):", "if False:",
+           "the reader accepts text after the closing `}`"),
 )
 
 

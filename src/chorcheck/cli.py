@@ -26,8 +26,8 @@ from pathlib import Path
 from .complement import (ComplementResult, NoComplementMethodError,
                          complement_auto, complement_cartesian, complement_dual,
                          complement_renunciation, verify_complement)
-from .formats import (ParseError, parse_cfsm, parse_gt, parse_msc, render_cfsm,
-                      render_dot, render_gt)
+from .formats import (ParseError, parse_automaton, parse_gt, parse_msc,
+                      render_cfsm, render_dot, render_gt)
 from .gtype import (ClassificationError, DeclarationMismatchError, classify,
                     member_existential, member_universal, project)
 from .realisability import (Status, check_p2p_realisable,
@@ -73,12 +73,11 @@ def _write(path: Path, text: str, parents: bool = False) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _load(path: str, cfsm_too: bool = False):
-    """The global type in `path` (with `cfsm_too`, or the CFSM it holds)."""
+def _load(path: str, parse=None):
+    """What `parse` reads from `path`: by default the global type."""
     text = _read(path)
-    parse = parse_cfsm if cfsm_too and text.lstrip().startswith("cfsm") else parse_gt
     try:
-        return parse(text)
+        return (parse or parse_gt)(text)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -198,7 +197,7 @@ def cmd_realisable(args):
             "model": "synch",
             "verdict": "holds" if v.realisable else "fails",
             "cc_holds": v.cc_holds,
-            "cc_witness": _word_json(v.cc_witness) if v.cc_witness else None,
+            "cc_witness": None if v.cc_witness is None else _word_json(v.cc_witness),
             "deadlock_free": v.deadlock_free,
             "deadlock_witness": v.deadlock_witness,
         }, EXIT_HOLDS if v.realisable else EXIT_FAILS
@@ -252,7 +251,7 @@ def cmd_simulate(args):
 
 
 def cmd_dot(args):
-    return {"command": "dot", "dot": render_dot(_load(args.file, cfsm_too=True))}, EXIT_HOLDS
+    return {"command": "dot", "dot": render_dot(_load(args.file, parse_automaton))}, EXIT_HOLDS
 
 
 def cmd_oracle_enumerate(args):

@@ -1,18 +1,34 @@
-"""Textual formats: the `.gt` global-type files, CFSM files, and DOT export.
+"""Textual formats: global types (`.gt`), CFSMs (`.cfsm`) and DOT export.
 
-Grammar (UTF-8, `#` line comments, identifiers [A-Za-z][A-Za-z0-9_']*):
+Both file kinds share one grammar.  Text is UTF-8, `#` starts a comment
+that runs to the end of its line, and a NAME is [A-Za-z][A-Za-z0-9_']*:
+
+    file       = header section... [states] transition... "}"
+    header     = "gtype" NAME "{"              a global type
+               | "cfsm" NAME "of" NAME "{"     the CFSM of the named process
+    section    = "processes:" NAME, ... ";"    required
+               | "messages:" NAME, ... ";"     required
+               | "arrows:" ARROW, ... ";"      optional; defaults to the
+                                               arrows the transitions use
+    states     = "states:" NAME[*][+], ... ";" * initial, + accepting
+    transition = NAME "--" LETTER "-->" NAME ";"
+
+The header's keyword decides the kind, and the kind decides the letter: a
+`.gt` letter is an arrow `p->q:m`, a `.cfsm` letter is an action of the
+machine's process, a send `p!q:m` or a receive `p?q:m`.  Without a `*`, the
+first state is initial; a file without `states:` has no transitions and one
+state, `s0`, initial and not accepting.
 
     gtype name {
       processes: p, q;
       messages: m;
-      arrows: p->q:m;            # optional; defaults to the arrows used
-      states: s0*, s1+;          # * initial, + accepting
+      states: s0*, s1+;
       s0 -- p->q:m --> s1;
     }
 
-CFSM files are analogous, with actions `p!q:m` / `p?q:m`:
-
-    cfsm name of p { ... }
+The reader blanks the comments, then reads one statement per match of that
+statement's pattern, so every offset, and so every line and column in an
+error, is that of the text.
 """
 
 from __future__ import annotations
@@ -34,23 +50,28 @@ class ParseError(ValueError):
         self.column = column
 
 
-# A token is a plain (kind, value, offset) tuple, which is much cheaper to
-# build than an object; the line and column of the offset are derived only
-# when an error is reported.
-Token = tuple[str, str, int]
+# The letter of each kind, as groups (process, mark, peer, message).
+_LETTERS = {"gtype": rf"({IDENT})\s*(->)\s*({IDENT})\s*:\s*({IDENT})",
+            "cfsm": rf"({IDENT})\s*([!?])\s*({IDENT})\s*:\s*({IDENT})"}
+_HEADERS = {"gtype": "'gtype NAME {'", "cfsm": "'cfsm NAME of NAME {'"}
+_STATE = rf"{IDENT}[\s*+]*"
 
+# One pattern per statement; each skips the whitespace before it.
+_HEADER = re.compile(rf"\s*(?:gtype\s+({IDENT})|cfsm\s+{IDENT}\s+of\s+({IDENT}))\s*{{")
+_SECTION = re.compile(rf"\s*(?:(processes|messages)\s*:\s*({IDENT}(?:\s*,\s*{IDENT})*)"
+                      rf"|arrows\s*:\s*({_LETTERS['gtype']}(?:\s*,\s*{_LETTERS['gtype']})*))\s*;")
+_STATES = re.compile(rf"\s*states\s*:\s*({_STATE}(?:,\s*{_STATE})*);")
+_TRANSITIONS = {kind: re.compile(rf"\s*({IDENT})\s*--\s*{letter}\s*-->\s*({IDENT})\s*;")
+                for kind, letter in _LETTERS.items()}
+_CLOSE = re.compile(r"\s*}")
+_END = re.compile(r"\s*\Z")
 
-# Each match skips whitespace and comments, then reads one token; at the end
-# of the text it reads `eof`, and on any other character `bad`.
-_TOKEN_RE = re.compile(r"(?:\s+|#[^\n]*)*(?:" + "|".join((
-    r"(?P<edge_to>-->)",
-    r"(?P<arrow>->)",
-    r"(?P<edge_from>--)",
-    rf"(?P<ident>{IDENT})",
-    r"(?P<punct>[{}:;,*+!?])",
-    r"(?P<eof>\Z)",
-    r"(?P<bad>.)",
-)) + ")")
+# Pieces of a statement, and what an error reports.
+_COMMA = re.compile(r"\s*,\s*")
+_ARROW_ITEM = re.compile(_LETTERS["gtype"])
+_STATE_ITEM = re.compile(rf"({IDENT})([\s*+]*)")
+_COMMENT = re.compile(r"#[^\n]*")
+_TOKEN = re.compile(rf"\s*(?:(-->|->|--|{IDENT}|[{{}}:;,*+!?])|(\S)|\Z)")
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
@@ -58,227 +79,152 @@ def _location(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        offset = m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[offset]!r}",
-                             *_location(text, offset))
-        tokens.append((kind, m[kind], offset))
-        if kind == "eof":
-            return tokens
+def _error(text: str, offset: int, message: str) -> ParseError:
+    return ParseError(message, *_location(text, offset))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        """Value of the next token."""
-        return self.tokens[self.pos][1]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, *_location(self.text, tok[2]))
-
-    def fail(self, message: str):
-        raise self.error(message, self.tokens[self.pos])
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise self.error(f"expected {value or kind}, found {tok[1]!r}", tok)
-        return tok
-
-    def ident(self) -> str:
-        return self.expect("ident")[1]
-
-    def expect_keyword(self, word: str):
-        tok = self.expect("ident")
-        if tok[1] != word:
-            raise self.error(f"expected {word!r}, found {tok[1]!r}", tok)
-
-    def ident_list(self) -> list[str]:
-        names = [self.ident()]
-        while self.peek() == ",":
-            self.next()
-            names.append(self.ident())
-        return names
-
-    def parse_arrow_token(self) -> tuple[str, str, str, Token]:
-        start = self.expect("ident")
-        self.expect("arrow")
-        receiver = self.ident()
-        self.expect("punct", ":")
-        message = self.ident()
-        return start[1], receiver, message, start
-
-    def parse_action_token(self) -> tuple[str, str, str, bool, Token]:
-        start = self.expect("ident")
-        mark = self.next()
-        if mark[1] not in ("!", "?"):
-            raise self.error("expected ! or ? in action", mark)
-        peer = self.ident()
-        self.expect("punct", ":")
-        message = self.ident()
-        return start[1], peer, message, mark[1] == "!", start
-
-
-def _parse_states(p: _Parser):
-    """states: s0*, s1+, s2*+; -> ordered (name, initial, accepting)."""
-    entries = []
-    while True:
-        name = p.expect("ident")
-        initial = accepting = False
-        while p.peek() in ("*", "+"):
-            flag = p.next()[1]
-            if flag == "*":
-                initial = True
-            else:
-                accepting = True
-        entries.append((name, initial, accepting))
-        if p.peek() != ",":
+def _fail(text: str, pos: int, expected: str):
+    """Raise for the statement at `pos`, which no pattern matched: at the first
+    character from `pos` on that starts no token, or else at its first token."""
+    first = None
+    for m in _TOKEN.finditer(text, pos):
+        if m[2]:
+            raise _error(text, m.start(2), f"unexpected character {m[2]!r}")
+        first = first or m
+        if m[1] is None:  # the end of the text
             break
-        p.next()
-    p.expect("punct", ";")
-    names = [tok[1] for tok, _, _ in entries]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        tok = next(t for t, _, _ in entries if t[1] == dup)
-        raise p.error(f"duplicate state name {dup!r}", tok)
-    return entries
+    if first[1] is None:
+        raise _error(text, first.end(), f"expected {expected}, found end of text")
+    raise _error(text, first.start(1), f"expected {expected}, found {first[1]!r}")
 
 
-def _parse_declaration_sections(p: _Parser):
-    processes = messages = None
-    explicit_arrows = None
-    while p.peek() in ("processes", "messages", "arrows"):
-        section = p.next()[1]
-        p.expect("punct", ":")
-        if section == "processes":
-            processes = p.ident_list()
-        elif section == "messages":
-            messages = p.ident_list()
-        else:
-            explicit_arrows = []
-            while True:
-                s, r, m, tok = p.parse_arrow_token()
-                explicit_arrows.append((s, r, m, tok))
-                if p.peek() != ",":
-                    break
-                p.next()
-        p.expect("punct", ";")
-    if processes is None:
-        p.fail("missing 'processes:' section")
-    if messages is None:
-        p.fail("missing 'messages:' section")
-    return processes, messages, explicit_arrows
+def _read(text: str, want: str | None):
+    """The global type or CFSM in `text`.  Its header decides which, and must
+    name `want` when that is given."""
+    if "#" in text:
+        text = _COMMENT.sub(lambda c: " " * len(c[0]), text)
+    head = _HEADER.match(text)
+    kind = head and ("gtype" if head[1] else "cfsm")
+    if kind is None or want not in (None, kind):
+        _fail(text, 0, _HEADERS[want] if want else " or ".join(_HEADERS.values()))
+    pos = head.end()
+    sections = {}
+    while s := _SECTION.match(text, pos):
+        sections[s[1] or "arrows"] = s
+        pos = s.end()
+    for key in ("processes", "messages"):
+        if key not in sections:
+            _fail(text, pos, f"a '{key}:' section")
+    processes = _COMMA.split(sections["processes"][2])
+    messages = _COMMA.split(sections["messages"][2])
+    declared = None
 
+    def letter(offset, process, mark, peer, message):
+        if mark != "->" and process != head[2]:
+            raise _error(text, offset, f"action owner {process!r} is not {head[2]!r}")
+        for name in (process, peer):
+            if name not in processes:
+                raise _error(text, offset, f"undeclared process {name!r}")
+        if message not in messages:
+            raise _error(text, offset, f"undeclared message {message!r}")
+        if mark != "->":
+            return LocalAction(process, peer, message, mark == "!")
+        try:
+            arrow = Arrow(process, peer, message)
+        except DeclarationError as exc:
+            raise _error(text, offset, str(exc)) from None
+        if declared is not None and arrow not in declared:
+            raise _error(text, offset, f"transition arrow {arrow} missing from the "
+                                       "declared arrow alphabet")
+        return arrow
 
-def _build_arrow(p: _Parser, sender, receiver, message, tok, processes,
-                 messages) -> Arrow:
-    if sender not in processes:
-        raise p.error(f"undeclared process {sender!r}", tok)
-    if receiver not in processes:
-        raise p.error(f"undeclared process {receiver!r}", tok)
-    if message not in messages:
-        raise p.error(f"undeclared message {message!r}", tok)
-    try:
-        return Arrow(sender, receiver, message)
-    except DeclarationError as exc:
-        raise p.error(str(exc), tok) from None
+    arrows = None
+    if "arrows" in sections:
+        arrows = [letter(a.start(), *a.groups())
+                  for a in _ARROW_ITEM.finditer(text, *sections["arrows"].span(3))]
+        declared = set(arrows)
+
+    entries = []  # (name, offset, flags)
+    if st := _STATES.match(text, pos):
+        entries = [(e[1], e.start(), e[2]) for e in _STATE_ITEM.finditer(text, *st.span(1))]
+        pos = st.end()
+    index = {}
+    for i, (name, offset, _) in enumerate(entries):
+        if index.setdefault(name, i) != i:
+            raise _error(text, entries[index[name]][1], f"duplicate state name {name!r}")
+
+    letters, transitions = {}, set()
+    match = _TRANSITIONS[kind].match
+    while t := match(text, pos):
+        src, process, mark, peer, message, dst = t.groups()
+        if src not in index:
+            raise _error(text, t.start(1), f"unknown state {src!r}")
+        if dst not in index:
+            raise _error(text, t.start(6), f"unknown state {dst!r}")
+        key = (process, mark, peer, message)
+        x = letters.get(key)
+        if x is None:
+            x = letters[key] = letter(t.start(2), *key)
+        transitions.add((index[src], x, index[dst]))
+        pos = t.end()
+    if not (close := _CLOSE.match(text, pos)):
+        _fail(text, pos, "a transition or '}'" if st else "'states:', a transition or '}'")
+    if not _END.match(text, close.end()):
+        _fail(text, close.end(), "end of text")
+
+    names = tuple(name for name, _, _ in entries) or ("s0",)
+    initial = frozenset(i for i, e in enumerate(entries) if "*" in e[2]) or frozenset({0})
+    accepting = frozenset(i for i, e in enumerate(entries) if "+" in e[2])
+    if kind == "cfsm":
+        nfa = Nfa(tuple(sorted(letters.values())), len(names), initial,
+                  frozenset(transitions), accepting, names)
+        return Cfsm(head[2], determinise(nfa))
+    if arrows is None:
+        arrows = sorted(letters.values(), key=lambda a: (a.sender, a.receiver, a.message))
+    decl = Declaration(tuple(processes), tuple(messages), tuple(arrows))
+    nfa = Nfa(decl.arrows, len(names), initial, frozenset(transitions), accepting, names)
+    return GlobalType(decl, nfa, head[1])
 
 
 def parse_gt(text: str) -> GlobalType:
-    p = _Parser(text)
-    p.expect_keyword("gtype")
-    name = p.ident()
-    p.expect("punct", "{")
-    processes, messages, explicit_arrows = _parse_declaration_sections(p)
+    return _read(text, "gtype")
 
-    state_entries = []
-    if p.peek() == "states":
-        p.next()
-        p.expect("punct", ":")
-        state_entries = _parse_states(p)
 
-    transitions_raw = []
-    while p.peek() != "}":
-        src = p.expect("ident")
-        p.expect("edge_from")
-        s, r, m, tok = p.parse_arrow_token()
-        p.expect("edge_to")
-        dst = p.expect("ident")
-        p.expect("punct", ";")
-        transitions_raw.append((src, (s, r, m, tok), dst))
-    p.expect("punct", "}")
-    p.expect("eof")
+def parse_cfsm(text: str) -> Cfsm:
+    return _read(text, "cfsm")
 
-    if not state_entries and not transitions_raw:
-        state_entries = [(("ident", "s0", 0), True, False)]
-    names = [tok[1] for tok, _, _ in state_entries]
-    index = {n: i for i, n in enumerate(names)}
 
-    built: dict[tuple[str, str, str], Arrow] = {}  # in order of first use
-    transitions = set()
-    for src, (s, r, m, tok), dst in transitions_raw:
-        for endpoint in (src, dst):
-            if endpoint[1] not in index:
-                raise p.error(f"unknown state {endpoint[1]!r}", endpoint)
-        arrow = built.get((s, r, m))
-        if arrow is None:
-            arrow = built[(s, r, m)] = _build_arrow(p, s, r, m, tok, processes, messages)
-        transitions.add((index[src[1]], arrow, index[dst[1]]))
+def parse_automaton(text: str) -> GlobalType | Cfsm:
+    """A global type or a CFSM, as the header of `text` says."""
+    return _read(text, None)
 
-    if explicit_arrows is not None:
-        alphabet = [_build_arrow(p, s, r, m, tok, processes, messages)
-                    for s, r, m, tok in explicit_arrows]
-        declared = set(alphabet)
-        for _, (s, r, m, tok), _ in transitions_raw:
-            if built[(s, r, m)] not in declared:
-                raise p.error(f"transition arrow {built[(s, r, m)]} missing "
-                              "from the declared arrow alphabet", tok)
-    else:
-        alphabet = sorted(built.values(), key=lambda a: (a.sender, a.receiver, a.message))
 
-    decl = Declaration(tuple(processes), tuple(messages), tuple(alphabet))
-    initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
-    if not initial:
-        initial = frozenset({0})
-    accepting = frozenset(i for i, (_, _, acc) in enumerate(state_entries) if acc)
-    nfa = Nfa(decl.arrows, len(names), initial, frozenset(transitions),
-              accepting, tuple(names))
-    return GlobalType(decl, nfa, name)
+def _transitions(a: Nfa) -> list:
+    """The transitions of `a` in the order every writer lists them."""
+    return sorted(a.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2]))
+
+
+def _write(header: str, declaration: Declaration, arrows: bool, a: Nfa, names) -> str:
+    """A file: the header, the sections (`arrows:` only with `arrows`), the
+    `states:` line and one line per transition."""
+    lines = [header, "  processes: " + ", ".join(declaration.processes) + ";",
+             "  messages: " + ", ".join(declaration.messages) + ";"]
+    if arrows:
+        lines.append("  arrows: " + ", ".join(map(str, declaration.arrows)) + ";")
+    states = [names[s] + ("*" if s in a.initial else "") + ("+" if s in a.accepting else "")
+              for s in range(a.n_states)]
+    lines.append("  states: " + ", ".join(states) + ";")
+    lines.extend(f"  {names[s]} -- {x} --> {names[t]};" for s, x, t in _transitions(a))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def render_gt(g: GlobalType) -> str:
-    nfa = g.automaton
     name = re.sub(r"[^A-Za-z0-9_']+", "_", g.name or "unnamed").strip("_")
     if not re.fullmatch(IDENT, name):
         name = "unnamed"
-    lines = [f"gtype {name} {{"]
-    lines.append("  processes: " + ", ".join(g.declaration.processes) + ";")
-    lines.append("  messages: " + ", ".join(g.declaration.messages) + ";")
-    lines.append("  arrows: " + ", ".join(str(a) for a in g.declaration.arrows) + ";")
-    names = _state_names(nfa)
-    states = []
-    for s in range(nfa.n_states):
-        mark = ("*" if s in nfa.initial else "") + ("+" if s in nfa.accepting else "")
-        states.append(names[s] + mark)
-    lines.append("  states: " + ", ".join(states) + ";")
-    for s, a, t in sorted(nfa.transitions,
-                          key=lambda tr: (tr[0], str(tr[1]), tr[2])):
-        lines.append(f"  {names[s]} -- {a} --> {names[t]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _write(f"gtype {name} {{", g.declaration, True, g.automaton,
+                  _state_names(g.automaton))
 
 
 def _state_names(nfa: Nfa) -> list[str]:
@@ -300,63 +246,10 @@ def _state_names(nfa: Nfa) -> list[str]:
     return names
 
 
-def parse_cfsm(text: str) -> Cfsm:
-    p = _Parser(text)
-    p.expect_keyword("cfsm")
-    p.expect("ident")  # machine name, informational
-    p.expect_keyword("of")
-    process = p.ident()
-    p.expect("punct", "{")
-    processes, messages, _ = _parse_declaration_sections(p)
-    state_entries = []
-    if p.peek() == "states":
-        p.next()
-        p.expect("punct", ":")
-        state_entries = _parse_states(p)
-    names = [tok[1] for tok, _, _ in state_entries]
-    index = {n: i for i, n in enumerate(names)}
-    transitions = set()
-    alphabet = set()
-    while p.peek() != "}":
-        src = p.expect("ident")
-        p.expect("edge_from")
-        owner, peer, message, is_send, tok = p.parse_action_token()
-        p.expect("edge_to")
-        dst = p.expect("ident")
-        p.expect("punct", ";")
-        if owner != process:
-            raise p.error(f"action owner {owner!r} is not {process!r}", tok)
-        if peer not in processes or message not in messages:
-            raise p.error("undeclared process or message in action", tok)
-        act = LocalAction(owner, peer, message, is_send)
-        alphabet.add(act)
-        for endpoint in (src, dst):
-            if endpoint[1] not in index:
-                raise p.error(f"unknown state {endpoint[1]!r}", endpoint)
-        transitions.add((index[src[1]], act, index[dst[1]]))
-    p.expect("punct", "}")
-    p.expect("eof")
-    initial = frozenset(i for i, (_, ini, _) in enumerate(state_entries) if ini)
-    accepting = frozenset(i for i, (_, _, acc) in enumerate(state_entries) if acc)
-    nfa = Nfa(tuple(sorted(alphabet)), max(len(names), 1), initial or frozenset({0}),
-              frozenset(transitions), accepting, tuple(names) or None)
-    return Cfsm(process, determinise(nfa))
-
-
 def render_cfsm(cfsm: Cfsm, system: System) -> str:
     d = cfsm.automaton
-    lines = [f"cfsm {cfsm.process}_machine of {cfsm.process} {{",
-             "  processes: " + ", ".join(system.declaration.processes) + ";",
-             "  messages: " + ", ".join(system.declaration.messages) + ";"]
-    states = []
-    for s in range(d.n_states):
-        mark = ("*" if s in d.initial else "") + ("+" if s in d.accepting else "")
-        states.append(f"t{s}" + mark)
-    lines.append("  states: " + ", ".join(states) + ";")
-    for s, act, t in sorted(d.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
-        lines.append(f"  t{s} -- {act} --> t{t};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _write(f"cfsm {cfsm.process}_machine of {cfsm.process} {{", system.declaration,
+                  False, d, [f"t{s}" for s in range(d.n_states)])
 
 
 def parse_msc(text: str, declaration: Declaration):
@@ -384,7 +277,7 @@ def _dot_automaton(out: list, prefix: str, a: Nfa):
         out.append(f'  {prefix}{s} [label="{_dot_escape(a.state_name(s))}", shape={shape}];')
     for s in a.initial:
         out.append(f"  {prefix}init -> {prefix}{s};")
-    for s, x, t in sorted(a.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2])):
+    for s, x, t in _transitions(a):
         out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(str(x))}"];')
 
 

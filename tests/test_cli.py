@@ -130,6 +130,13 @@ def test_project_json(capsys, tmp_path):
     assert (outdir / "p.cfsm").read_text() == payload["cfsms"]["p"]
 
 
+def test_empty_cc_witness_is_an_empty_list(capsys):
+    # g0 given as its own complement: both accept the empty word
+    code, payload = run_json(capsys, "realisable", "realisable", G0, "--model", "synch",
+                             "--complement", G0)
+    assert payload["cc_holds"] is False and payload["cc_witness"] == []
+
+
 def test_realisable_synch(capsys, tmp_path):
     comp = tmp_path / "bar.gt"
     main(["complement", REAL, "-o", str(comp)])
@@ -267,6 +274,18 @@ def test_cfsm_with_a_duplicate_state_name_is_refused(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}: 4:11: duplicate state name 'a'\n"
+
+
+def test_dot_reads_a_cfsm_that_starts_with_a_comment(capsys, tmp_path):
+    main(["project", REAL, "-o", str(tmp_path)])
+    path = tmp_path / "p.cfsm"
+    code, plain = run(capsys, "dot", str(path))
+    assert code == 0
+    path.write_text("# note\n" + path.read_text())
+    assert run(capsys, "dot", str(path)) == (0, plain)
+    assert main(["classify", str(path)]) == 2     # a CFSM is no global type
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: 2:1: expected 'gtype NAME {{', found 'cfsm'\n"
 
 
 def test_dot(capsys):

@@ -2,8 +2,8 @@ import pytest
 
 from chorcheck.automata import Nfa, includes
 from chorcheck.complement import complement_dual, complement_renunciation
-from chorcheck.formats import (ParseError, parse_cfsm, parse_gt, parse_msc,
-                               render_cfsm, render_dot, render_gt)
+from chorcheck.formats import (ParseError, parse_automaton, parse_cfsm, parse_gt,
+                               parse_msc, render_cfsm, render_dot, render_gt)
 from chorcheck.gtype import project
 from chorcheck.oracle import bounded_existential
 from chorcheck.trace import Arrow, msc_of
@@ -115,10 +115,44 @@ def test_error_locations_span_lines_and_comments():
     assert (exc.value.line, exc.value.column) == (4, 1)   # at the end of the text
 
 
+CFSM_HEAD = "cfsm pm of p {  # header\n  processes: p, q;\n  # a comment line\n"
+
+
+@pytest.mark.parametrize("body, where, message", [
+    ("  messages: m; states: t0*+;\n  t0 -- p!q:m --> t0 @", (5, 22),
+     "unexpected character '@'"),
+    ("  messages: m; states: t0*+;\n  t0 -- p!q:m --> t0;\n", (6, 1),
+     "expected a transition or '}', found end of text"),
+    ("  messages: m; states: t0*+;\n  t0 -- p!r:m --> t0; }", (5, 9),
+     "undeclared process 'r'"),
+    ("  messages: m; states: t0*+;\n  t0 -- p?q:m --> t9; }", (5, 19),
+     "unknown state 't9'"),
+    ("  messages: m; states: t0*, t1,\n   t0+; }", (4, 24),
+     "duplicate state name 't0'"),
+])
+def test_cfsm_error_locations_span_lines_and_comments(body, where, message):
+    with pytest.raises(ParseError) as exc:
+        parse_cfsm(CFSM_HEAD + body)
+    assert (exc.value.line, exc.value.column) == where
+    assert str(exc.value) == f"{where[0]}:{where[1]}: {message}"
+
+
+def test_initial_states_are_the_starred_ones():
+    # state 0 is not initial here, and two states are
+    g = parse_gt("""gtype t { processes: p, q; messages: m;
+      states: a+, b*, c*;
+      b -- p->q:m --> a;
+      c -- q->p:m --> a; }""")
+    m, back = Arrow("p", "q", "m"), Arrow("q", "p", "m")
+    assert g.automaton.initial == {1, 2}
+    assert g.accepts((m,)) and g.accepts((back,)) and not g.accepts(())
+
+
 def test_comments_and_primes():
     src = """# leading comment
     gtype t' {
-      processes: p, q';   # primes allowed
+      processes: p, # r; s, a comment inside a section
+        q';   # primes allowed
       messages: m2';
       states: s0*, s1+;
       s0 -- p->q':m2' --> s1;
@@ -181,7 +215,8 @@ def test_cfsm_roundtrip(real):
     for cfsm in system.cfsms:
         back = parse_cfsm(render_cfsm(cfsm, system))
         assert back.process == cfsm.process
-        assert set(back.automaton.transitions)  # non-trivial machines survive
+        assert includes(back.automaton, cfsm.automaton)[0]
+        assert includes(cfsm.automaton, back.automaton)[0]
 
 
 def test_cfsm_owner_checked():
@@ -200,6 +235,17 @@ def test_cfsm_trailing_text_rejected():
     with pytest.raises(ParseError) as exc:
         parse_cfsm(src)
     assert exc.value.line == 4
+
+
+def test_kind_is_the_header_keyword(real):
+    text = render_cfsm(project(real).cfsms[0], project(real))
+    assert parse_automaton(text) == parse_cfsm(text)
+    with_arrows = text.replace("  states:", "  arrows: p->q:a, q->r:b;\n  states:")
+    assert parse_cfsm(with_arrows) == parse_cfsm(text)   # read, checked, not used
+    assert parse_automaton(render_gt(real)).automaton == real.automaton
+    with pytest.raises(ParseError) as exc:
+        parse_cfsm(render_gt(real))
+    assert str(exc.value) == "1:1: expected 'cfsm NAME of NAME {', found 'gtype'"
 
 
 def test_parse_msc(g_sd, gsd_arrows):
