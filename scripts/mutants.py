@@ -108,6 +108,12 @@ MUTANTS = (
            "renunciation accepts g's final states"),
     Mutant(COMP, "if report.passed:", "if True:",
            "complement_auto keeps a Cartesian candidate that failed its self-check"),
+    Mutant(AUT, "if x not in letters:", "if False:",
+           "automaton validation lets a transition read a letter outside the alphabet"),
+    Mutant(AUT, "if not (0 <= s < n_states and 0 <= t < n_states):", "if False:",
+           "automaton validation lets a transition leave the state range"),
+    Mutant(AUT, "complete(a if a.delta is not None else determinise(a))", "complete(a)",
+           "minimise skips the subset construction for a non-deterministic input"),
     Mutant(FMT, 'if "*" in e[2]) or frozenset({0})', 'if False) or frozenset({0})',
            "the reader ignores the `*` initial flag"),
     Mutant(FMT, "if declared is not None and arrow not in declared:", "if False:",

@@ -313,9 +313,10 @@ def prefix_closure(a: Nfa) -> Nfa:
                frozenset(range(t.n_states)), t.names)
 
 
-def minimise(d: Nfa) -> Nfa:
-    """Minimal complete DFA for L(d) (Moore partition refinement)."""
-    d = complete(d)
+def minimise(a: Nfa) -> Nfa:
+    """Minimal complete DFA for L(a) (Moore partition refinement), numbered
+    canonically; the subset construction runs only when `a` is not a DFA."""
+    d = complete(a if a.delta is not None else determinise(a))
     delta = _dfa_delta(d)
 
     def successors(s):

@@ -87,8 +87,9 @@ def _word_json(word) -> list[str]:
 
 
 def _witness_json(w) -> str | None:
-    """A word of arrows or local actions joins its letters with `;`."""
-    if isinstance(w, tuple):
+    """A word of arrows or local actions joins its letters with `;`.  A word
+    is a tuple of letters; a lone letter is a tuple too, but of names."""
+    if isinstance(w, tuple) and all(isinstance(x, tuple) for x in w):
         return ";".join(_word_json(w))
     return None if w is None else str(w)
 

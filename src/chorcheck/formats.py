@@ -71,6 +71,7 @@ _COMMA = re.compile(r"\s*,\s*")
 _ARROW_ITEM = re.compile(_LETTERS["gtype"])
 _STATE_ITEM = re.compile(rf"({IDENT})([\s*+]*)")
 _COMMENT = re.compile(r"#[^\n]*")
+_MSC_PART = re.compile(r"[^;\s][^;]*")  # an arrow of an MSC, and the spaces after it
 _TOKEN = re.compile(rf"\s*(?:(-->|->|--|{IDENT}|[{{}}:;,*+!?])|(\S)|\Z)")
 
 
@@ -199,9 +200,11 @@ def parse_automaton(text: str) -> GlobalType | Cfsm:
     return _read(text, None)
 
 
-def _transitions(a: Nfa) -> list:
-    """The transitions of `a` in the order every writer lists them."""
-    return sorted(a.transitions, key=lambda tr: (tr[0], str(tr[1]), tr[2]))
+def _transitions(a: Nfa) -> list[tuple[int, str, int]]:
+    """The transitions of `a`, each letter as its text, in the order every
+    writer lists them."""
+    label = {x: str(x) for x in a.alphabet}
+    return sorted((s, label[x], t) for s, x, t in a.transitions)
 
 
 def _write(header: str, declaration: Declaration, arrows: bool, a: Nfa, names) -> str:
@@ -253,13 +256,18 @@ def render_cfsm(cfsm: Cfsm, system: System) -> str:
 
 
 def parse_msc(text: str, declaration: Declaration):
-    """Parse a semicolon-separated arrow word into a canonical trace."""
-    try:
-        word = tuple(parse_arrow(part.strip())
-                     for part in text.strip().split(";") if part.strip())
-        return msc_of(word, declaration)
-    except DeclarationError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    """Parse a semicolon-separated arrow word into a canonical trace.  An
+    error is reported where its arrow starts."""
+    word = []
+    for part in _MSC_PART.finditer(text):
+        try:
+            arrow = parse_arrow(part[0].rstrip())
+        except DeclarationError as exc:
+            raise _error(text, part.start(), str(exc)) from None
+        if arrow not in declaration.arrow_index:
+            raise _error(text, part.start(), f"arrow {arrow} not in the declared alphabet")
+        word.append(arrow)
+    return msc_of(word, declaration)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,7 @@ def _dot_automaton(out: list, prefix: str, a: Nfa):
     for s in a.initial:
         out.append(f"  {prefix}init -> {prefix}{s};")
     for s, x, t in _transitions(a):
-        out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(str(x))}"];')
+        out.append(f'  {prefix}{s} -> {prefix}{t} [label="{_dot_escape(x)}"];')
 
 
 def render_dot(obj) -> str:

@@ -66,24 +66,21 @@ def _choices_per_state(g: GlobalType) -> list[set[Arrow]]:
     return out
 
 
+def _sender_driven(per_state) -> bool:
+    return all(len({a.sender for a in arrows}) <= 1 for arrows in per_state)
+
+
+def _commutation_deterministic(per_state) -> bool:
+    return not any(commute(a, b) for arrows in per_state
+                   for a, b in itertools.combinations(arrows, 2))
+
+
 def is_sender_driven(g: GlobalType) -> bool:
-    if not is_deterministic(g):
-        return False
-    for arrows in _choices_per_state(g):
-        senders = {a.sender for a in arrows}
-        if len(senders) > 1:
-            return False
-    return True
+    return is_deterministic(g) and _sender_driven(_choices_per_state(g))
 
 
 def is_commutation_deterministic(g: GlobalType) -> bool:
-    if not is_deterministic(g):
-        return False
-    for arrows in _choices_per_state(g):
-        for a, b in itertools.combinations(arrows, 2):
-            if commute(a, b):
-                return False
-    return True
+    return is_deterministic(g) and _commutation_deterministic(_choices_per_state(g))
 
 
 def participant_count(g: GlobalType) -> int:
@@ -101,7 +98,7 @@ def is_commutation_closed(g: GlobalType) -> tuple[bool, tuple | None]:
     is u·x·y·v and u·y·x·v, with u a shortest access word to s and v a
     shortest suffix telling δ(s,xy) and δ(s,yx) apart.
     """
-    d = automata.minimise(determinise(g.automaton))
+    d = automata.minimise(g.automaton)
     delta = d.delta
     pairs = [(x, y) for x, y in itertools.combinations(g.declaration.arrows, 2)
              if commute(x, y)]
@@ -117,11 +114,13 @@ def is_commutation_closed(g: GlobalType) -> tuple[bool, tuple | None]:
 
 
 def classify(g: GlobalType) -> Classification:
+    deterministic = is_deterministic(g)
+    per_state = _choices_per_state(g) if deterministic else ()
     return Classification(
-        deterministic=is_deterministic(g),
+        deterministic=deterministic,
         commutation_closed=is_commutation_closed(g)[0],
-        sender_driven=is_sender_driven(g),
-        commutation_deterministic=is_commutation_deterministic(g),
+        sender_driven=deterministic and _sender_driven(per_state),
+        commutation_deterministic=deterministic and _commutation_deterministic(per_state),
         participant_count=participant_count(g),
     )
 

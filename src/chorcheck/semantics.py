@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .automata import Nfa
 from .trace import Declaration
@@ -22,9 +23,11 @@ class ExecutionError(ValueError):
     """Structurally invalid execution (bad matching or event shape)."""
 
 
-@dataclass(frozen=True, order=True)
-class LocalAction:
-    """A send `p!q:m` (process=p) or receive `p?q:m` (process=p, from q)."""
+class LocalAction(NamedTuple):
+    """A send `p!q:m` (process=p) or receive `p?q:m` (process=p, from q).
+
+    A tuple, like `Arrow`, ordered by its fields in turn.
+    """
 
     process: str
     peer: str

@@ -10,6 +10,7 @@ tuple operations.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,19 +34,23 @@ class DeclarationError(ValueError):
     """A process, message, or arrow is inconsistent with its declaration."""
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
-    """An atomic communication `sender->receiver:message`."""
+class Arrow(namedtuple("Arrow", "sender receiver message")):
+    """An atomic communication `sender->receiver:message`.
 
-    sender: str
-    receiver: str
-    message: str
+    A tuple, so hashing, equality and the (sender, receiver, message) order
+    run in C.
+    """
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
-            raise DeclarationError(
-                f"self-message {self.sender}->{self.receiver}:{self.message} not allowed"
-            )
+    __slots__ = ()
+
+    def __new__(cls, sender: str, receiver: str, message: str):
+        if sender == receiver:
+            raise DeclarationError(f"self-message {sender}->{receiver}:{message} not allowed")
+        return super().__new__(cls, sender, receiver, message)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it, so it checks too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.sender}->{self.receiver}:{self.message}"

@@ -33,6 +33,29 @@ def test_validation():
         Nfa(AB, 1, frozenset({0}), frozenset({(0, "c", 0)}), frozenset())
 
 
+@pytest.mark.parametrize("args, names, message", [
+    ((AB, 2, {2}, set(), set()), None, r"initial state 2 out of range"),
+    ((AB, 2, {-1}, set(), set()), None, r"initial state -1 out of range"),
+    ((AB, 2, {0}, set(), {2}), None, r"accepting state 2 out of range"),
+    ((AB, 2, {0}, set(), {-1}), None, r"accepting state -1 out of range"),
+    ((AB, 2, {0}, {(2, "a", 0)}, set()), None, r"transition \(2,a,0\) out of range"),
+    ((AB, 2, {0}, {(-1, "a", 0)}, set()), None, r"transition \(-1,a,0\) out of range"),
+    ((AB, 2, {0}, {(0, "a", 2)}, set()), None, r"transition \(0,a,2\) out of range"),
+    ((AB, 2, {0}, {(0, "c", 1)}, set()), None, r"transition letter 'c' not in alphabet"),
+    ((("a", "b", "a"), 2, {0}, set(), set()), None, r"duplicate letters in alphabet"),
+    ((AB, 2, {0}, set(), set()), ("x",), r"names length does not match state count"),
+    ((AB, 2, {0}, set(), set()), ("x", "y", "z"), r"names length does not match state count"),
+], ids=["initial", "initial-negative", "accepting", "accepting-negative", "source",
+        "source-negative", "target", "letter", "duplicate-letter", "names-short",
+        "names-long"])
+def test_validation_refuses_each_fault_with_its_message(args, names, message):
+    alphabet, n, initial, transitions, accepting = args
+    ok = [(0, "a", 1), (1, "b", 0)]  # valid transitions around the faulty one
+    with pytest.raises(AutomatonError, match=f"^{message}$"):
+        Nfa(alphabet, n, frozenset(initial), frozenset(transitions) | frozenset(ok),
+            frozenset(accepting), names)
+
+
 def test_none_is_not_a_letter():
     # no construction reads ε any more, so None is refused as a letter,
     # both on a transition and in the alphabet
@@ -43,7 +66,7 @@ def test_none_is_not_a_letter():
 
 
 def test_dfa_operations_refuse_a_nondeterministic_automaton():
-    dfa_operations = (complete, dual, minimise, lambda d: access_word(d, 0),
+    dfa_operations = (complete, dual, lambda d: access_word(d, 0),
                       lambda d: distinguishing_word(d, 0, 1))
     for a in (nfa({(0, "a", 0), (0, "a", 1)}, set()),     # two successors on a
               nfa(set(), set(), n=2, initial=(0, 1))):    # two initial states
@@ -51,6 +74,8 @@ def test_dfa_operations_refuse_a_nondeterministic_automaton():
         for operation in dfa_operations:
             with pytest.raises(AutomatonError, match="not deterministic"):
                 operation(a)
+        # minimise takes any automaton, and determinises it first
+        assert minimise(a) == minimise(determinise(a))
 
 
 def test_determinise_preserves_language():

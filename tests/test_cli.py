@@ -11,7 +11,9 @@ import pytest
 
 import chorcheck
 from chorcheck import oracle
-from chorcheck.cli import build_parser, main
+from chorcheck.cli import _witness_json, build_parser, main
+from chorcheck.semantics import recv_action, send_action
+from chorcheck.trace import Arrow
 
 from conftest import (FIXTURE_DIR, FIXTURE_NAMES, THREE_SENDS, load_fixture,
                       load_schema)
@@ -313,6 +315,29 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert built.count("chorcheck") == 1
     assert len(built) == parsers
     assert second == first and first[0] == 0
+
+
+def test_member_reports_where_the_bad_arrow_starts(capsys):
+    assert main(["member", GSD, "--msc", "p->q:m1; r->q':m3; p->z:m1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 1:20: arrow p->z:m1 not in the declared alphabet\n"
+    assert main(["member", GSD, "--msc", "p->q:m1; p-q:m1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 1:10: malformed arrow 'p-q:m1', expected p->q:m\n"
+
+
+def test_witness_json_tells_a_word_from_a_lone_letter():
+    arrow, other = Arrow("p", "q", "m1"), Arrow("r", "s", "m2")
+    send, recv = send_action("p", "q", "m1"), recv_action("q", "p", "m1")
+    assert _witness_json(arrow) == "p->q:m1"
+    assert _witness_json(send) == "p!q:m1"
+    assert _witness_json(recv) == "q?p:m1"
+    assert _witness_json((arrow, other)) == "p->q:m1;r->s:m2"
+    assert _witness_json((arrow,)) == "p->q:m1"
+    assert _witness_json((send, recv)) == "p!q:m1;q?p:m1"
+    assert _witness_json(()) == ""
+    assert _witness_json(None) is None
+    assert _witness_json("(1,2)") == "(1,2)"  # a stuck product state's name
 
 
 def test_oracle_enumerate(capsys):

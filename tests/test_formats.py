@@ -256,6 +256,18 @@ def test_parse_msc(g_sd, gsd_arrows):
         parse_msc("p->z:m1", g_sd.declaration)
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("p->q:m1; r->q':m3; p->z:m1", (1, 20), "arrow p->z:m1 not in the declared alphabet"),
+    ("p->q:m1; p-q:m1", (1, 10), "malformed arrow 'p-q:m1', expected p->q:m"),
+    ("p->q:m1;\n  p->p:m1 ;", (2, 3), "self-message p->p:m1 not allowed"),
+])
+def test_parse_msc_errors_point_at_the_bad_arrow(g_sd, text, where, message):
+    with pytest.raises(ParseError) as exc:
+        parse_msc(text, g_sd.declaration)
+    assert (exc.value.line, exc.value.column) == where
+    assert str(exc.value) == f"{where[0]}:{where[1]}: {message}"
+
+
 def test_dot_gt(g_sd):
     dot = render_dot(g_sd)
     assert dot.startswith("digraph")

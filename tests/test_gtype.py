@@ -136,6 +136,29 @@ def test_commutation_closure_differential_random():
     assert open_det >= 20 and open_nondet >= 20
 
 
+def test_closure_check_on_the_given_dfa_matches_the_determinised_copy(fixture_suite,
+                                                                    monkeypatch):
+    # `is_commutation_closed` minimises g's automaton as it is; determinising
+    # a DFA first must change neither the minimal DFA nor the verdict and
+    # witness
+    rng = random.Random(23)
+    types = list(fixture_suite.values())
+    for _ in range(60):
+        decl = random_declaration(rng, rng.randint(3, 5), rng.randint(1, 2),
+                                  rng.randint(3, 5))
+        g = random_global_type(rng, decl, rng.randint(2, 6),
+                               density=rng.choice((0.3, 0.6, 0.9)))
+        types += [g, sync_product(project(g))]
+    assert sum(is_deterministic(g) for g in types) >= 120
+    given = [(automata.minimise(g.automaton), is_commutation_closed(g)) for g in types]
+    minimise = automata.minimise
+    monkeypatch.setattr(automata, "minimise", lambda a: minimise(automata.determinise(a)))
+    copied = [(automata.minimise(g.automaton), is_commutation_closed(g)) for g in types]
+    assert given == copied
+    verdicts = [closed for _, (closed, _) in given]
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20  # both branches, often
+
+
 def test_commutation_closure_six_process_abstraction():
     rng = random.Random(1)
     decl = random_declaration(rng, 6, 2, 12)

@@ -9,6 +9,7 @@ from chorcheck.trace import (Arrow, CommutingChoicesError, Declaration,
                              linearisations, msc_of, next_arrow, next_msc,
                              parse_arrow)
 from chorcheck.oracle import normal_form_oracle
+from chorcheck.semantics import LocalAction, recv_action, send_action
 from chorcheck.randomgen import random_declaration
 
 A = Arrow("p", "q", "m1")
@@ -28,6 +29,42 @@ def test_self_message_rejected():
         Arrow("p", "p", "m")
     with pytest.raises(DeclarationError):
         parse_arrow("p->p:m")
+
+
+def test_letters_compare_hash_and_print_by_their_fields():
+    # arrows order by (sender, receiver, message), local actions by
+    # (process, peer, message, is_send), each field compared as a string
+    # (is_send as a bool)
+    arrows = [Arrow("q", "a", "a"), Arrow("p", "r", "a"), Arrow("p", "q", "m2"),
+              Arrow("p", "q", "m1")]
+    assert sorted(arrows) == sorted(arrows, key=lambda a: (a.sender, a.receiver, a.message))
+    assert sorted(arrows) == arrows[::-1]
+    actions = [LocalAction("q", "p", "a", False), LocalAction("p", "q", "m", True),
+               LocalAction("p", "q", "m", False), LocalAction("p", "q", "a", True)]
+    assert sorted(actions) == [actions[3], actions[2], actions[1], actions[0]]
+    # built apart, equal and hashed alike
+    twin = parse_arrow("".join(["p", "->", "q", ":m1"]))
+    assert twin == A and twin is not A and hash(twin) == hash(A)
+    assert len({A, twin, Arrow(sender="p", receiver="q", message="m1")}) == 1
+    assert LocalAction("p", "q", "m", True) == send_action("p", "q", "m")
+    assert hash(recv_action("q", "p", "m")) == hash(LocalAction("q", "p", "m", False))
+    # the self-message check holds however the arrow is built
+    with pytest.raises(DeclarationError, match="self-message p->p:m not allowed"):
+        Arrow(sender="p", receiver="p", message="m")
+    with pytest.raises(DeclarationError, match="self-message p->p:m1 not allowed"):
+        A._replace(receiver="p")
+    assert A._replace(message="m3") == C
+    # text as before
+    assert str(A) == "p->q:m1"
+    assert repr(A) == "Arrow(sender='p', receiver='q', message='m1')"
+    assert str(send_action("p", "q", "m")) == "p!q:m"
+    assert str(recv_action("q", "p", "m")) == "q?p:m"
+    assert repr(send_action("p", "q", "m")) == \
+        "LocalAction(process='p', peer='q', message='m', is_send=True)"
+    # an arrow and an action never meet, not even on the same names
+    for action in (send_action("p", "q", "m1"), recv_action("p", "q", "m1")):
+        assert A != action and action != A
+        assert len({A, action}) == 2
 
 
 @pytest.mark.parametrize("text", ["pq:m", "p->q", "->q:m", "p->:m", "p->q:"])
