@@ -112,8 +112,12 @@ MUTANTS = (
            "automaton validation lets a transition read a letter outside the alphabet"),
     Mutant(AUT, "if not (0 <= s < n_states and 0 <= t < n_states):", "if False:",
            "automaton validation lets a transition leave the state range"),
-    Mutant(AUT, "complete(a if a.delta is not None else determinise(a))", "complete(a)",
+    Mutant(AUT, "d = a if a.delta is not None else determinise(a)", "d = a",
            "minimise skips the subset construction for a non-deterministic input"),
+    Mutant(AUT, "if len(classes) == n_blocks:", "if True:",
+           "minimise stops after the first refinement round"),
+    Mutant(AUT, "for _ in range(sink + 1)]", "for _ in range(sink)] + [[0] * len(letters)]",
+           "minimise's sink row leads to state 0: the sink is not absorbing"),
     Mutant(FMT, 'if "*" in e[2]) or frozenset({0})', 'if False) or frozenset({0})',
            "the reader ignores the `*` initial flag"),
     Mutant(FMT, "if declared is not None and arrow not in declared:", "if False:",

@@ -125,13 +125,7 @@ def _explore(starts, successors) -> tuple[list, dict, list]:
 
 
 def determinise(a: Nfa) -> Nfa:
-    """Reachable-subset construction; never materialises the full powerset.
-
-    Deterministic input takes a BFS over single states instead, which gives
-    the same numbering, transitions, accepting set and names.
-    """
-    if a.delta is not None:
-        return _determinise_deterministic(a, a.delta)
+    """Reachable-subset construction; never materialises the full powerset."""
     return image(a, a.alphabet, lambda x: x)
 
 
@@ -170,14 +164,6 @@ def image(a: Nfa, alphabet, rename) -> Nfa:
                frozenset(i for i, subset in enumerate(order) if subset in accepting), names)
 
 
-def _determinise_deterministic(a: Nfa, delta: dict) -> Nfa:
-    order, _, transitions = _explore(a.initial, lambda s: (
-        (x, t) for x in a.alphabet if (t := delta.get((s, x))) is not None))
-    accepting = frozenset(i for i, s in enumerate(order) if s in a.accepting)
-    names = tuple("{" + a.state_name(s) + "}" for s in order)
-    return Nfa(a.alphabet, len(order), frozenset({0}), transitions, accepting, names)
-
-
 def _dfa_delta(d: Nfa) -> dict:
     """The transition map of a deterministic `d`."""
     if d.delta is None:
@@ -190,15 +176,11 @@ def complete(d: Nfa) -> Nfa:
     delta = _dfa_delta(d)
     if len(delta) == d.n_states * len(d.alphabet):
         return d
-    sink = d.n_states
-    transitions = set(d.transitions)
-    for s in range(d.n_states + 1):
-        for x in d.alphabet:
-            if (s, x) not in delta or s == sink:
-                transitions.add((s, x, sink))
+    sink = d.n_states  # no (sink, x) is in delta, so the sink loops on every letter
+    transitions = d.transitions | {(s, x, sink) for s in range(sink + 1)
+                                   for x in d.alphabet if (s, x) not in delta}
     names = tuple(d.names) + ("sink",) if d.names else None
-    return Nfa(d.alphabet, d.n_states + 1, d.initial, frozenset(transitions),
-               d.accepting, names)
+    return Nfa(d.alphabet, sink + 1, d.initial, transitions, d.accepting, names)
 
 
 def dual(d: Nfa) -> Nfa:
@@ -304,10 +286,7 @@ def trim(a: Nfa) -> Nfa:
 def prefix_closure(a: Nfa) -> Nfa:
     """Automaton for the set of prefixes of L(a): trim, then accept everywhere."""
     t = trim(a)
-    if not t.initial:
-        return t
-    # trim() of an empty language yields a dead non-accepting state; keep it so.
-    if not t.accepting and t.n_states == 1 and not t.transitions:
+    if not t.accepting:  # the empty language: trim() left one dead state
         return t
     return Nfa(t.alphabet, t.n_states, t.initial, t.transitions,
                frozenset(range(t.n_states)), t.names)
@@ -316,30 +295,24 @@ def prefix_closure(a: Nfa) -> Nfa:
 def minimise(a: Nfa) -> Nfa:
     """Minimal complete DFA for L(a) (Moore partition refinement), numbered
     canonically; the subset construction runs only when `a` is not a DFA."""
-    d = complete(a if a.delta is not None else determinise(a))
-    delta = _dfa_delta(d)
-
-    def successors(s):
-        return ((x, delta[(s, x)]) for x in d.alphabet)
-
-    reach, _, _ = _explore(d.initial, successors)
-    states = sorted(reach)
-    block = {s: (s in d.accepting) for s in states}
-    while True:
-        sig = {s: (block[s], tuple(block[delta[(s, x)]] for x in d.alphabet))
-               for s in states}
-        classes = {}
-        for s in states:
-            classes.setdefault(sig[s], len(classes))
-        new_block = {s: classes[sig[s]] for s in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+    d = a if a.delta is not None else determinise(a)
+    letters = {x: i for i, x in enumerate(d.alphabet)}
+    sink = d.n_states  # the extra row every missing transition leads to
+    rows = [[sink] * len(letters) for _ in range(sink + 1)]  # rows[s][i] = δ(s, letter i)
+    for s, x, t in d.transitions:
+        rows[s][letters[x]] = t
+    block, n_blocks = [s in d.accepting for s in range(sink + 1)], 0
+    while True:  # a round splits each block by its states' successor blocks
+        classes: dict = {}
+        block = [classes.setdefault((b, *[block[t] for t in row]), len(classes))
+                 for b, row in zip(block, rows)]
+        if len(classes) == n_blocks:
             break
-        block = new_block
+        n_blocks = len(classes)
     # canonical numbering: BFS from the initial block, letters in order
-    member = {block[s]: s for s in states}  # one state of each block
-    blocks, _, transitions = _explore([block[s] for s in d.initial], lambda b: (
-        (x, block[t]) for x, t in successors(member[b])))
+    member = {b: s for s, b in enumerate(block)}  # one state of each block
+    blocks, _, transitions = _explore([block[s] for s in d.initial], lambda b: zip(
+        d.alphabet, [block[t] for t in rows[member[b]]]))
     accepting = frozenset(i for i, b in enumerate(blocks) if member[b] in d.accepting)
     return Nfa(d.alphabet, len(blocks), frozenset({0}), transitions, accepting)
 

@@ -28,12 +28,12 @@ from .complement import (ComplementResult, NoComplementMethodError,
                          complement_renunciation, verify_complement)
 from .formats import (ParseError, parse_automaton, parse_gt, parse_msc,
                       render_cfsm, render_dot, render_gt)
-from .gtype import (ClassificationError, DeclarationMismatchError, classify,
-                    member_existential, member_universal, project)
+from .gtype import (ClassificationError, classify, member_existential,
+                    member_universal, project)
 from .realisability import (Status, check_p2p_realisable,
                             check_sync_realisable)
 from .semantics import p2p_explore, p2p_mscs
-from .trace import DeclarationError, SizeLimitError
+from .trace import SizeLimitError
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -52,8 +52,7 @@ class CliError(Exception):
 _ERROR_CODES = {
     ClassificationError: EXIT_FAILS, NoComplementMethodError: EXIT_FAILS,
     SizeLimitError: EXIT_UNKNOWN,
-    CliError: EXIT_USAGE, ParseError: EXIT_USAGE, DeclarationError: EXIT_USAGE,
-    DeclarationMismatchError: EXIT_USAGE, ValueError: EXIT_USAGE,
+    CliError: EXIT_USAGE, ValueError: EXIT_USAGE,
 }
 
 

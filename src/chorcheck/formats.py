@@ -180,8 +180,7 @@ def _read(text: str, want: str | None):
         nfa = Nfa(tuple(sorted(letters.values())), len(names), initial,
                   frozenset(transitions), accepting, names)
         return Cfsm(head[2], determinise(nfa))
-    if arrows is None:
-        arrows = sorted(letters.values(), key=lambda a: (a.sender, a.receiver, a.message))
+    arrows = letters.values() if arrows is None else arrows  # Declaration sorts them
     decl = Declaration(tuple(processes), tuple(messages), tuple(arrows))
     nfa = Nfa(decl.arrows, len(names), initial, frozenset(transitions), accepting, names)
     return GlobalType(decl, nfa, head[1])

@@ -3,10 +3,10 @@
 Everything here enumerates: canonical traces over a small arrow alphabet,
 bounded existential MSC languages, the xor complement law, the
 count-profile characterisation used by the non-complementability fixture,
-projection membership, the p2p step relation, the bounded p2p executions
-with their MSCs, and the linearisations and FIFO and RSC checks of p2p
-MSCs.  These are the oracles the cleverer constructions are tested
-against; no verdict uses them.
+the minimal DFA by residuals, projection membership, the p2p step relation,
+the bounded p2p executions with their MSCs, and the linearisations and FIFO
+and RSC checks of p2p MSCs.  These are the oracles the cleverer
+constructions are tested against; no verdict uses them.
 """
 
 from __future__ import annotations
@@ -117,6 +117,37 @@ def count_profile_check(language: Nfa, declaration: Declaration, predicate,
         if not predicate(*counts):
             violations.append((w, counts))
     return ProfileReport(checked, profiled, violations)
+
+
+def residual_dfa(a: Nfa, max_states: int) -> Nfa:
+    """The minimal complete DFA of L(a), from its Myhill-Nerode residuals,
+    when it has at most `max_states` states.
+
+    Such a DFA tells its states apart by suffixes of length at most
+    `max_states` - 2, so a word's class is read off the answers of
+    `a.accepts` on the word followed by each of those suffixes.  Classes
+    are numbered in the order a breadth-first walk from the empty word
+    finds them, letters in alphabet order.
+    """
+    suffixes = [()]
+    for v in suffixes:  # `suffixes` grows behind the scan, shortest first
+        if len(v) < max_states - 2:
+            suffixes += [v + (x,) for x in a.alphabet]
+
+    def signature(word):
+        return tuple(a.accepts(word + v) for v in suffixes)
+
+    found, index, transitions = [()], {signature(()): 0}, []  # one word per class
+    for i, word in enumerate(found):
+        for x in a.alphabet:
+            j = index.setdefault(signature(word + (x,)), len(found))
+            if j == len(found):
+                found.append(word + (x,))
+            transitions.append((i, x, j))
+    if len(found) > max_states:
+        raise ValueError(f"L(a) has more than {max_states} residuals")
+    accepting = frozenset(i for i, word in enumerate(found) if a.accepts(word))
+    return Nfa(a.alphabet, len(found), frozenset({0}), transitions, accepting)
 
 
 def swap_closure_oracle(g, max_len: int):

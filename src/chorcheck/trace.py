@@ -106,9 +106,6 @@ class Declaration:
         key = lambda a: (pidx[a.sender], pidx[a.receiver], midx[a.message])
         object.__setattr__(self, "arrows", tuple(sorted(arrows, key=key)))
 
-    def msc(self, word) -> "Msc":
-        return msc_of(word, self)
-
     @cached_property
     def arrow_index(self) -> dict[Arrow, int]:
         return {a: i for i, a in enumerate(self.arrows)}

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from chorcheck.automata import (AlphabetMismatchError, AutomatonError, Nfa,
                                 access_word, all_accepting, complete,
-                                determinise, distinguishing_word, dual, image,
+                                determinise, distinguishing_word, dual,
                                 includes, is_empty, minimise, prefix_closure,
                                 product, reachable, trim, words)
+from chorcheck.oracle import residual_dfa
 
 AB = ("a", "b")
 
@@ -153,7 +154,9 @@ def test_minimise():
     assert minimise(m) == m
 
 
-def test_determinise_fast_path_matches_subset_construction():
+def test_determinise_of_a_dfa_keeps_its_reachable_states():
+    # on a DFA the subset construction builds one singleton {s} for each
+    # reachable state s of `a`, named after it, with a's transitions between them
     rng = random.Random(11)
     alphabet = ("a", "b", "c")
     for _ in range(200):
@@ -164,9 +167,61 @@ def test_determinise_fast_path_matches_subset_construction():
             if rng.random() < 0.5 else None
         a = Nfa(alphabet, n, frozenset({rng.randrange(n)}), frozenset(transitions),
                 frozenset(s for s in range(n) if rng.random() < 0.4), names)
-        fast, subset = determinise(a), image(a, alphabet, lambda x: x)
-        assert fast == subset
-        assert fast.names == subset.names
+        d = determinise(a)
+        by_name = {"{" + a.state_name(s) + "}": s for s in range(n)}
+        state = [by_name[name] for name in d.names]  # d's state i is a's state[i]
+        keep = reachable(a)
+        assert sorted(state) == sorted(keep)
+        assert {state[i] for i in d.initial} == a.initial
+        assert {(state[i], x, state[j]) for i, x, j in d.transitions} == \
+            {(s, x, t) for s, x, t in a.transitions if s in keep}
+        assert {state[i] for i in d.accepting} == a.accepting & keep
+        assert lang(d, 4) == lang(a, 4)
+
+
+def _renumbered(a, rng):
+    """`a` with its states numbered in a random order."""
+    order = list(range(a.n_states))
+    rng.shuffle(order)
+    return Nfa(a.alphabet, a.n_states, frozenset(order[s] for s in a.initial),
+               frozenset((order[s], x, order[t]) for s, x, t in a.transitions),
+               frozenset(order[s] for s in a.accepting))
+
+
+def _minimise_cases(rng):
+    """Automata, each with a bound on the states of its minimal complete DFA."""
+    abc = ("a", "b", "c")
+    for _ in range(120):  # DFAs: complete or not, often with unreachable states
+        n = rng.randint(1, 5)
+        p = rng.choice((1.0, 0.7))
+        transitions = {(s, x, rng.randrange(n)) for s in range(n) for x in abc
+                       if rng.random() < p}
+        accepting = {s for s in range(n) if rng.random() < 0.5}
+        yield Nfa(abc, n, frozenset({rng.randrange(n)}), transitions, accepting), n + 1
+    for _ in range(100):  # NFAs with one, two or no initial states
+        n = rng.randint(1, 3)
+        transitions = {(rng.randrange(n), rng.choice(AB), rng.randrange(n))
+                       for _ in range(rng.randint(2, 8))}
+        initial = rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2, 2))))
+        accepting = {s for s in range(n) if rng.random() < 0.4}
+        yield Nfa(AB, n, frozenset(initial), transitions, accepting), 2 ** n
+    yield nfa(set(), set()), 1                                  # empty language
+    yield nfa({(0, "a", 1), (1, "b", 0)}, set()), 1             # empty, not trim
+    yield all_accepting(AB), 1                                  # universal
+    yield nfa({(0, x, 1) for x in AB} | {(1, x, 0) for x in AB}, {0, 1}), 1  # universal
+
+
+def test_minimise_matches_the_residual_reference():
+    rng = random.Random(7)
+    for a, bound in _minimise_cases(rng):
+        m = minimise(a)
+        reference = residual_dfa(a, bound)
+        assert m.n_states == reference.n_states
+        assert lang(m, 4) == lang(a, 4)
+        # both number the classes breadth first from the initial one
+        assert m == reference
+        # the numbering does not depend on how the input numbers its states
+        assert minimise(_renumbered(a, rng)) == m
 
 
 def test_reachable():

@@ -12,8 +12,10 @@ import pytest
 import chorcheck
 from chorcheck import oracle
 from chorcheck.cli import _witness_json, build_parser, main
+from chorcheck.formats import ParseError
+from chorcheck.gtype import DeclarationMismatchError
 from chorcheck.semantics import recv_action, send_action
-from chorcheck.trace import Arrow
+from chorcheck.trace import Arrow, DeclarationError
 
 from conftest import (FIXTURE_DIR, FIXTURE_NAMES, THREE_SENDS, load_fixture,
                       load_schema)
@@ -324,6 +326,25 @@ def test_member_reports_where_the_bad_arrow_starts(capsys):
     assert main(["member", GSD, "--msc", "p->q:m1; p-q:m1"]) == 2
     assert capsys.readouterr().err == \
         "error: 1:10: malformed arrow 'p-q:m1', expected p->q:m\n"
+
+
+@pytest.mark.parametrize("error, argv, message", [
+    (ParseError, ["member", GSD, "--msc", "p->p:m1"],
+     "1:1: self-message p->p:m1 not allowed"),
+    (DeclarationError, ["classify", "DUP"], "duplicate process names"),
+    (DeclarationMismatchError, ["verify-complement", GSD, G0],
+     "complement verification requires one declaration"),
+], ids=["parse", "declaration", "declaration-mismatch"])
+def test_each_value_error_kind_exits_2(capsys, tmp_path, error, argv, message):
+    # these errors are ValueErrors, which the error table maps to exit code 2
+    dup = tmp_path / "dup.gt"
+    dup.write_text("gtype t {\n  processes: p, p;\n  messages: m;\n  states: s0*;\n}\n")
+    argv = [str(dup) if a == "DUP" else a for a in argv]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error):  # the command itself raises that kind
+        args.func(args)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_witness_json_tells_a_word_from_a_lone_letter():

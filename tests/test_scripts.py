@@ -80,8 +80,9 @@ def test_corpus_digest_exits_1_on_a_changed_digest(monkeypatch, capsys):
 
 
 def test_fast_corpus_digest_lines_are_unchanged():
-    # the synch line and the ten complement-law lines, run for real: their
-    # JSON covers member, project, dot, complement, verify-complement and the
+    # the synch line, the two closure lines and the ten complement-law lines,
+    # run for real: their JSON covers classify (the minimal DFA's diamond
+    # check), member, project, dot, complement, verify-complement and the
     # synch verdict, and each digest must equal the committed one
     code = f"""
 import importlib.util, tempfile
@@ -90,7 +91,8 @@ digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(digest)
 with tempfile.TemporaryDirectory() as tmp:
     for label, runs in digest.digest_lines(tmp):
-        if label == "realisable --model synch --json" or label.startswith("complement-law "):
+        if label == "realisable --model synch --json" or label.startswith(
+                ("closure ", "complement-law ")):
             print(digest.run_digest(runs), label)
 """
     r = subprocess.run([sys.executable, "-c", code], env=src_env(PYTHONHASHSEED="0"),
@@ -98,7 +100,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert r.returncode == 0, r.stderr
     lines = [line.split(" ", 1) for line in r.stdout.splitlines()]
     expected = load_digest_script().EXPECTED
-    assert len(lines) == 11
+    assert len(lines) == 13
     for digest, label in lines:
         assert digest == expected[label], label
 
