@@ -124,6 +124,12 @@ MUTANTS = (
            "the reader lets a transition use an arrow missing from `arrows:`"),
     Mutant(FMT, "if not _END.match(text, close.end()):", "if False:",
            "the reader accepts text after the closing `}`"),
+    Mutant(FMT, ' and words[3] == "-->"', "",
+           'the split read skips the `words[3] == "-->"` check'),
+    Mutant(FMT, "index[words[4]]))", "index[words[0]]))",
+           "the split read takes the destination from `words[0]`"),
+    Mutant(AUT, "return delta if len(delta) == len(self.transitions) else None",
+           "return delta", "`Nfa.delta` drops its length check"),
 )
 
 

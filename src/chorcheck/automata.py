@@ -75,12 +75,8 @@ class Nfa:
         at most one successor per pair), else None."""
         if len(self.initial) != 1:
             return None
-        delta = {}
-        for s, x, t in self.transitions:
-            if (s, x) in delta:
-                return None
-            delta[(s, x)] = t
-        return delta
+        delta = {(s, x): t for s, x, t in self.transitions}
+        return delta if len(delta) == len(self.transitions) else None
 
     def step(self, states, letter) -> frozenset:
         nxt = set()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -385,11 +386,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_HOLDS
+    # A command makes many tuples that the cyclic GC keeps tracking (a tuple
+    # holding an Arrow is never untracked), and reference counting frees
+    # nearly all it makes, so the collections a command triggers would find
+    # almost nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         payload, code = args.func(args)
     except tuple(_ERROR_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _ERROR_CODES.items() if isinstance(exc, cls))
+    finally:
+        if enabled:
+            gc.enable()
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

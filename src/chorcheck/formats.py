@@ -28,7 +28,9 @@ state, `s0`, initial and not accepting.
 
 The reader blanks the comments, then reads one statement per match of that
 statement's pattern, so every offset, and so every line and column in an
-error, is that of the text.
+error, is that of the text.  A transition that repeats a letter text the
+pattern already accepted, with declared states, is read by splitting it at
+whitespace instead; it would have matched the pattern with the same groups.
 """
 
 from __future__ import annotations
@@ -154,20 +156,35 @@ def _read(text: str, want: str | None):
         if index.setdefault(name, i) != i:
             raise _error(text, entries[index[name]][1], f"duplicate state name {name!r}")
 
-    letters, transitions = {}, set()
+    # Each transition ends at its first ';'.  A piece that is exactly
+    # `src -- letter --> dst`, with both states declared and a letter text
+    # the pattern already accepted, is read by `str.split`, whose whitespace
+    # is the pattern's `\s`; any other piece goes through the pattern, which
+    # raises every error.
+    letters, spelled, transitions = {}, {}, set()
     match = _TRANSITIONS[kind].match
-    while t := match(text, pos):
-        src, process, mark, peer, message, dst = t.groups()
-        if src not in index:
-            raise _error(text, t.start(1), f"unknown state {src!r}")
-        if dst not in index:
-            raise _error(text, t.start(6), f"unknown state {dst!r}")
-        key = (process, mark, peer, message)
-        x = letters.get(key)
-        if x is None:
-            x = letters[key] = letter(t.start(2), *key)
-        transitions.add((index[src], x, index[dst]))
-        pos = t.end()
+    pieces = text[pos:].split(";")
+    del pieces[-1]  # the text after the last ';' ends no statement
+    for piece in pieces:
+        words = piece.split()
+        if (len(words) == 5 and words[1] == "--" and words[3] == "-->"
+                and words[2] in spelled and words[0] in index and words[4] in index):
+            transitions.add((index[words[0]], spelled[words[2]], index[words[4]]))
+        elif t := match(text, pos):
+            src, process, mark, peer, message, dst = t.groups()
+            if src not in index:
+                raise _error(text, t.start(1), f"unknown state {src!r}")
+            if dst not in index:
+                raise _error(text, t.start(6), f"unknown state {dst!r}")
+            key = (process, mark, peer, message)
+            x = letters.get(key)
+            if x is None:
+                x = letters[key] = letter(t.start(2), *key)
+            spelled[text[t.start(2):t.end(5)]] = x
+            transitions.add((index[src], x, index[dst]))
+        else:
+            break
+        pos += len(piece) + 1
     if not (close := _CLOSE.match(text, pos)):
         _fail(text, pos, "a transition or '}'" if st else "'states:', a transition or '}'")
     if not _END.match(text, close.end()):

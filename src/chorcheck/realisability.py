@@ -13,7 +13,7 @@ from enum import Enum
 
 from . import automata
 from .gtype import (DeclarationMismatchError, GlobalType, project, sync_product)
-from .semantics import p2p_explore, p2p_mscs
+from .semantics import System, p2p_explore, p2p_mscs
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,18 @@ def check_sync_realisable(g: GlobalType, gbar: GlobalType) -> SynchVerdict:
     The other inclusion, L(g) ⊆ L(product), holds by construction of the
     projection and is left to the tests.
     """
+    _same_declaration(g, gbar)
+    return _sync_verdict(project(g), gbar)
+
+
+def _same_declaration(g: GlobalType, gbar: GlobalType):
     if g.declaration != gbar.declaration:
         raise DeclarationMismatchError("realisability check requires one declaration")
-    prod = sync_product(project(g))
+
+
+def _sync_verdict(system: System, gbar: GlobalType) -> SynchVerdict:
+    """The synchronous verdict of g, given its projection."""
+    prod = sync_product(system)
     empty, witness = automata.is_empty(
         automata.product(prod.automaton, gbar.automaton))
     if not empty:
@@ -104,9 +113,10 @@ def check_p2p_realisable(g: GlobalType, gbar: GlobalType, bound: int = 2,
     channel contents, so a send blocked or a step cut in the completion is
     blocked or cut in g too.
     """
-    # first, so that a declaration mismatch is raised before any exploration
-    synch = check_sync_realisable(g, gbar)
-    report = p2p_explore(project(g), bound)
+    _same_declaration(g, gbar)
+    system = project(g)
+    synch = _sync_verdict(system, gbar)
+    report = p2p_explore(system, bound)
     _, bound_hit, non_rsc = p2p_mscs(report, max_events)
 
     cond1 = cond3 = Condition(Status.UNKNOWN if bound_hit else Status.HOLDS)

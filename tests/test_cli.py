@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 import chorcheck
-from chorcheck import oracle
+from chorcheck import cli, oracle
 from chorcheck.cli import _witness_json, build_parser, main
 from chorcheck.formats import ParseError
 from chorcheck.gtype import DeclarationMismatchError
@@ -317,6 +318,33 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert built.count("chorcheck") == 1
     assert len(built) == parsers
     assert second == first and first[0] == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_cyclic_gc_and_restores_the_callers_setting(
+        capsys, monkeypatch, enabled):
+    seen = []
+
+    def classify(g):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in ((["classify", G0, "--json"], 0),          # success
+                           (["member", GSD, "--msc", "p->p:m1"], 2),  # error table
+                           (["classify"], 2)):                        # argparse usage
+            assert main(argv) == code
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setattr(cli, "classify", classify)
+        with pytest.raises(RuntimeError, match="boom"):       # escapes main
+            main(["classify", G0])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # the command itself ran with the GC paused
+    capsys.readouterr()
 
 
 def test_member_reports_where_the_bad_arrow_starts(capsys):

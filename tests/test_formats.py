@@ -1,11 +1,15 @@
+import random
+import re
+
 import pytest
 
 from chorcheck.automata import Nfa, includes
 from chorcheck.complement import complement_dual, complement_renunciation
 from chorcheck.formats import (ParseError, parse_automaton, parse_cfsm, parse_gt,
                                parse_msc, render_cfsm, render_dot, render_gt)
-from chorcheck.gtype import project
+from chorcheck.gtype import project, sync_product
 from chorcheck.oracle import bounded_existential
+from chorcheck.randomgen import random_declaration, random_global_type
 from chorcheck.trace import Arrow, msc_of
 
 from conftest import FIXTURE_DIR
@@ -181,6 +185,76 @@ def test_arrow_missing_from_alphabet_located_at_its_first_use():
         parse_gt(src)
     assert (exc.value.line, exc.value.column) == (5, 13)
     assert "q->p:n missing from the declared arrow alphabet" in str(exc.value)
+
+
+_LETTER_HEAD = re.compile(r"([A-Za-z][A-Za-z0-9_']*)(->|!|\?)([A-Za-z][A-Za-z0-9_']*):")
+
+
+def _respaced(text: str) -> str:
+    """`text` with every letter spelled `p -> q : m`, a text no transition
+    is split-read with, so the pattern reads every statement."""
+    return _LETTER_HEAD.sub(r"\1 \2 \3 : ", text)
+
+
+def test_split_read_agrees_with_the_pattern(fixture_suite):
+    types = list(fixture_suite.values())
+    for seed in range(12):
+        rng = random.Random(seed)
+        decl = random_declaration(rng, rng.randint(2, 4), 2, rng.randint(2, 5))
+        g = random_global_type(rng, decl, rng.randint(2, 6), deterministic=seed % 2 == 0)
+        types += [g, sync_product(project(g))]
+    for g in types:
+        system = project(g)
+        for text, parse in [(render_gt(g), parse_gt)] + [
+                (render_cfsm(c, system), parse_cfsm) for c in system.cfsms]:
+            twin = _respaced(text)
+            assert twin != text or "-->" not in text
+            assert parse(text) == parse(twin), text
+        back = parse_gt(render_gt(g))
+        assert back.declaration == g.declaration
+        assert back.automaton.transitions == g.automaton.transitions, g.name
+
+
+def _chain(tail: str, kind: str = "gtype", close: str = "}") -> str:
+    """A file of 40 transitions over two letters, so the split read takes
+    all but the first two, followed by `tail` on line 45."""
+    if kind == "gtype":
+        head, letters, st = "gtype t {\n  processes: p, q, r;", ("p->q:m", "q->r:m"), "s"
+    else:
+        head, letters, st = "cfsm pm of p {\n  processes: p, q;", ("p!q:m", "p?q:m"), "t"
+    states = ", ".join(f"{st}{i}" + ("*" if i == 0 else "") for i in range(10))
+    body = [f"  {st}{i % 10} -- {letters[i % 2]} --> {st}{(i + 1) % 10};" for i in range(40)]
+    return "\n".join([head, "  messages: m;", f"  states: {states};", *body, tail, close])
+
+
+@pytest.mark.parametrize("text, message", [
+    (_chain("  s3 -- p->q:m --> s99;"), "45:20: unknown state 's99'"),
+    (_chain("  s3 -- p->x:m --> s4;"), "45:9: undeclared process 'x'"),
+    (_chain("  s1 -- r -> p : m --> s2;\n  s2 -- r->p:m --> s3;\n  s3 -- r->p:m --> s3 s4;"),
+     "47:3: expected a transition or '}', found 's3'"),
+    (_chain("  s1 -- p->q:m => s2;"), "45:16: unexpected character '='"),
+    (_chain("  s1 -> p->q:m --> s2;"), "45:3: expected a transition or '}', found 's1'"),
+    (_chain("  s1 -- p->q:m --> s2", close=""),
+     "45:3: expected a transition or '}', found 's1'"),
+    (_chain("  s1\u00a0--\u00a0p->q:m\u00a0-->\u00a0s2;\n  s2 -- p->q:m -->\u00a0s77;"),
+     "46:20: unknown state 's77'"),
+    (_chain("  t3 -- q!p:m --> t4;", "cfsm"), "45:9: action owner 'q' is not 'p'"),
+    (_chain("  t3 -- p!q:m --> t44;", "cfsm"), "45:19: unknown state 't44'"),
+], ids=["unknown-destination", "undeclared-process", "spaced-then-unspaced",
+        "not-an-arrow", "not-a-dash", "unterminated", "no-break-space", "cfsm-owner",
+        "cfsm-unknown-state"])
+def test_errors_after_split_read_statements(text, message):
+    # each is the error the pattern alone reports, at the same place
+    with pytest.raises(ParseError) as exc:
+        parse_automaton(text)
+    assert str(exc.value) == message
+
+
+def test_split_read_takes_whitespace_as_the_pattern_does():
+    text = _chain("  s1 -- q->r:m --> s2;")
+    odd = text.replace(" -- p->q:m --> ", " --\u001cp->q:m\t--> ").replace(
+        " -- q->r:m --> ", "\u00a0--\u00a0q->r:m -->\u00a0")
+    assert odd != text and parse_gt(odd) == parse_gt(text)
 
 
 def _same_language(g, h) -> bool:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chorcheck import automata, semantics
+from chorcheck import automata, realisability, semantics
 from chorcheck.cli import main
 from chorcheck.complement import (NoComplementMethodError, complement_auto,
                                   complement_cartesian)
@@ -68,9 +68,30 @@ def test_sanity_inclusion_all_fixtures(fixture_suite):
         assert lower_inclusion(g), g.name
 
 
-def test_declaration_mismatch(real, g0):
-    with pytest.raises(DeclarationMismatchError):
-        check_sync_realisable(real, g0)
+@pytest.fixture
+def projected(monkeypatch):
+    """The types that `realisability` projects from now on."""
+    types = []
+
+    def counting_project(g):
+        types.append(g)
+        return project(g)
+
+    monkeypatch.setattr(realisability, "project", counting_project)
+    return types
+
+
+def test_declaration_mismatch(real, g0, projected):
+    for check in (check_sync_realisable, check_p2p_realisable):
+        with pytest.raises(DeclarationMismatchError):
+            check(real, g0)
+    assert projected == []  # raised ahead of any projection
+
+
+def test_p2p_verdict_projects_once(real, projected):
+    v = check_p2p_realisable(real, gbar(real), bound=2)
+    assert v.overall is Status.HOLDS
+    assert projected == [real]
 
 
 def test_accept_completion_is_prefix_closure(real):
